@@ -25,14 +25,13 @@ random access), then drops them.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import os
 import pickle
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from ..metrics.registry import MetricsRegistry
+from ..metrics.registry import MetricsRegistry, merge_registries
 
 __all__ = ["MergedTelemetry", "ShardTelemetryParts"]
 
@@ -154,7 +153,7 @@ class MergedTelemetry:
         metas = [p.meta or {} for p in self._parts]
         # (name, counters, gauges, histograms) per worker, cluster order —
         # shards hold contiguous worker ranges, so shard order is worker
-        # order and counter/histogram accumulation order matches serial.
+        # order, as in a serial run.
         self._metric_parts = [part for m in metas for part in m.get("metrics", ())]
         self.series = {}
         for m in metas:
@@ -217,20 +216,8 @@ class MergedTelemetry:
 
     def merged_metrics(self) -> MetricsRegistry:
         """Counters summed, histograms merged, gauges worker-prefixed —
-        the same worker-order accumulation as Telemetry.merged_metrics."""
-        merged = MetricsRegistry()
-        for name, counters, gauges, histograms in self._metric_parts:
-            for key, v in counters.items():
-                merged.incr(key, v)
-            for key, v in gauges.items():
-                merged.set_gauge(f"{name}.{key}", v)
-            for key, hist in histograms.items():
-                target = merged.histograms.get(key)
-                if target is None:
-                    merged.histograms[key] = copy.deepcopy(hist)
-                else:
-                    target.merge(hist)
-        return merged
+        the same merge as Telemetry.merged_metrics."""
+        return merge_registries(self._metric_parts)
 
     # -- export ------------------------------------------------------------
     def summary(self) -> dict:

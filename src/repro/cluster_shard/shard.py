@@ -181,9 +181,9 @@ def _run_shard(conn, spec: ShardSpec) -> None:
         if tracer is not None:
             _stream_parts(conn, "traces", telemetry.trace_events())
         payload["telemetry"] = {
-            # Per-worker registry parts, in cluster worker order (the
-            # merged registry sums counters in this order, matching
-            # Telemetry.merged_metrics on a single-process run).
+            # Per-worker registry parts, in cluster worker order — the
+            # same parts Telemetry.merged_metrics feeds merge_registries
+            # on a single-process run.
             "metrics": [
                 (w.name, dict(w.metrics.counters), dict(w.metrics.gauges),
                  dict(w.metrics.histograms))

@@ -9,18 +9,20 @@ tuned :class:`HealthConfig`) and the run dir gains ``health.json``,
 back with ``repro health RUN_DIR`` and ``repro watch RUN_DIR``.
 
 Determinism contract: the collector holds only integer counters and
-integer-merged :class:`DDSketch` buckets, so per-shard collectors from
-the sharded engine reduce to exactly the serial run's collector and the
-exported ``health.json`` / ``slo.jsonl`` are byte-identical across
-engines.  With health off, runs are bit-identical to a build without
+integer-merged :class:`DDSketch` buckets (the sketch lives in
+:mod:`repro.metrics.sketch`, shared with the metrics registry), so
+per-shard collectors from the sharded engine reduce to exactly the
+serial run's collector and the exported ``health.json`` / ``slo.jsonl``
+are byte-identical across engines.  With health off, runs are bit-identical to a build without
 this package.
 """
 
+from ..metrics.sketch import DDSketch
 from .collector import HealthCollector
 from .detectors import Alert, EwmaDetector, detect_anomalies
 from .live import LiveWriter, read_live, sparkline, watch, watch_report
 from .report import health_report, health_section, load_health
-from .sketch import DDSketch, WindowedSketch, window_index
+from .sketch import WindowedSketch, window_index
 from .slo import (
     HealthConfig,
     HealthReport,

@@ -37,11 +37,18 @@ __all__ = [
 ]
 
 
-def _clean(value: float) -> Optional[float]:
-    """NaN is not valid strict JSON; absent data is ``null``."""
-    if value is None or value != value:
+def _distribution(bank) -> Optional[dict]:
+    """Whole-run count/min/max/percentiles of a sketch bank; ``None``
+    (``null`` in the JSON) when the bank is absent or empty."""
+    if bank is None or not bank.count:
         return None
-    return value
+    merged = bank.merged()
+    return {
+        "count": merged.count,
+        "min": merged.minimum,
+        "max": merged.maximum,
+        **merged.percentiles(),
+    }
 
 
 @dataclass(frozen=True)
@@ -246,8 +253,9 @@ def evaluate_health(collector: HealthCollector,
             for key in COUNT_KEYS:
                 fn_totals[key] += counts[key]
             sketch = sketches.sketch(idx) if sketches is not None else None
-            p50 = _clean(sketch.quantile(50.0)) if sketch else None
-            p99 = _clean(sketch.quantile(99.0)) if sketch else None
+            # A window's sketch exists only once it holds a sample.
+            p50 = sketch.quantile(50.0) if sketch is not None else None
+            p99 = sketch.quantile(99.0) if sketch is not None else None
             completed, total = counts["completed"], counts["total"]
             row = {
                 "function": fn,
@@ -275,14 +283,10 @@ def evaluate_health(collector: HealthCollector,
         fn_worst = max(burn.values(), default=0.0)
         if fn_worst > worst_burn[0]:
             worst_burn = (fn_worst, fn)
-        merged = sketches.merged() if sketches is not None else None
         functions[fn] = {
             **fn_totals,
             "target": target.describe() if target is not None else None,
-            "e2e": (
-                {k: _clean(v) for k, v in merged.summary().items()}
-                if merged is not None and merged.count else None
-            ),
+            "e2e": _distribution(sketches),
             "violating_windows": len(violating),
             "spans": _spans(violating, window),
             "burn_rates": burn,
@@ -291,15 +295,10 @@ def evaluate_health(collector: HealthCollector,
 
     workers: dict[str, dict] = {}
     for worker in collector.workers():
-        entry = {}
-        for attr in ("queue", "overhead"):
-            sketch_bank = getattr(collector, attr).get(worker)
-            merged = sketch_bank.merged() if sketch_bank is not None else None
-            entry[attr] = (
-                {k: _clean(v) for k, v in merged.summary().items()}
-                if merged is not None and merged.count else None
-            )
-        workers[worker] = entry
+        workers[worker] = {
+            attr: _distribution(getattr(collector, attr).get(worker))
+            for attr in ("queue", "overhead")
+        }
 
     alerts: list = []
     if config.detectors and series is not None:

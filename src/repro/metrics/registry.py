@@ -11,11 +11,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .histograms import LogHistogram
+from .sketch import DDSketch
 
-__all__ = ["Outcome", "InvocationRecord", "MetricsRegistry", "LATENCY_HISTOGRAMS"]
+__all__ = [
+    "Outcome", "InvocationRecord", "MetricsRegistry", "LATENCY_HISTOGRAMS",
+    "merge_registries",
+]
 
 # Histogram names recorded at invocation completion once
 # :meth:`MetricsRegistry.enable_latency_histograms` opts in (telemetry).
@@ -65,7 +68,7 @@ class MetricsRegistry:
     counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     gauges: dict[str, float] = field(default_factory=dict)
     records: list[InvocationRecord] = field(default_factory=list)
-    histograms: dict[str, LogHistogram] = field(default_factory=dict)
+    histograms: dict[str, DDSketch] = field(default_factory=dict)
     # When set (telemetry opt-in), the (e2e, queue, overhead) histograms
     # observed at completion.  ``None`` keeps record_invocation on its
     # original path: one attribute load and a branch, no allocation.
@@ -88,11 +91,11 @@ class MetricsRegistry:
         return self.counters.get(name, 0)
 
     # -- histograms -------------------------------------------------------
-    def histogram(self, name: str, **kwargs) -> LogHistogram:
-        """Get or lazily create the named histogram."""
+    def histogram(self, name: str) -> DDSketch:
+        """Get or lazily create the named histogram (a quantile sketch)."""
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = LogHistogram(**kwargs)
+            hist = self.histograms[name] = DDSketch()
         return hist
 
     def observe(self, name: str, value: float) -> None:
@@ -175,3 +178,22 @@ class MetricsRegistry:
         self.histograms.clear()
         if self._latency_hists is not None:
             self.enable_latency_histograms()
+
+
+def merge_registries(
+    parts: Iterable[tuple[str, Mapping[str, int], Mapping[str, float],
+                          Mapping[str, DDSketch]]],
+) -> MetricsRegistry:
+    """One registry from per-worker ``(name, counters, gauges, histograms)``
+    parts, in worker order: counters summed, gauges prefixed with the
+    worker name, histograms merged.  Every accumulation is an integer
+    one, so serial and sharded runs merge to the same registry."""
+    merged = MetricsRegistry()
+    for name, counters, gauges, histograms in parts:
+        for key, value in counters.items():
+            merged.incr(key, value)
+        for key, value in gauges.items():
+            merged.set_gauge(f"{name}.{key}", value)
+        for key, hist in histograms.items():
+            merged.histogram(key).merge(hist)
+    return merged

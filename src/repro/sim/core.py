@@ -549,10 +549,6 @@ class Environment:
         limit = float("inf") if until is None else float(until)
         if limit < self.now:
             raise ValueError(f"until={limit} lies in the past (now={self.now})")
-        if type(self).step is not Environment.step:
-            # Subclasses (e.g. RealtimeEnvironment) hook step(); honour it.
-            self._run_via_step(limit)
-            return
         # The dispatch body is inlined (instead of calling self.step) —
         # this loop runs once per event and the call/attribute overhead is
         # measurable at cluster scale.  Mirror of _dispatch.
@@ -601,20 +597,6 @@ class Environment:
                     # waiters instead; only orphan failures propagate.
                     if not process.callbacks:
                         raise exc
-        if self.now < limit and limit != float("inf"):
-            self.now = limit
-
-    def _run_via_step(self, limit: float) -> None:
-        """run() body for subclasses that override step()."""
-        queue = self._queue
-        step = self.step
-        failures = self._failures
-        while queue and queue[0][0] <= limit:
-            step()
-            while failures:
-                process, exc = failures.popleft()
-                if not process.callbacks:
-                    raise exc
         if self.now < limit and limit != float("inf"):
             self.now = limit
 

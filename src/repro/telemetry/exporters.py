@@ -87,7 +87,8 @@ def render_prometheus(metrics: MetricsRegistry, help_text: bool = True) -> str:
 
     Counters get a ``_total`` suffix, gauges are emitted as-is, and each
     histogram becomes the conventional ``_bucket{le=...}`` /  ``_sum`` /
-    ``_count`` family (cumulative buckets, closing with ``le="+Inf"``).
+    ``_count`` family (cumulative counts at each non-empty sketch
+    bucket's upper bound, closing with ``le="+Inf"``).
     """
     lines: list[str] = []
     for name in sorted(metrics.counters):

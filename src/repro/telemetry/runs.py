@@ -25,14 +25,18 @@ a build without this package.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Optional, Union
 
-from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
+from ..metrics.registry import (
+    InvocationRecord,
+    MetricsRegistry,
+    Outcome,
+    merge_registries,
+)
 from ..metrics.spans import Span, dump_spans_jsonl, load_spans_jsonl
 from .decomposition import (
     breakdown_rows,
@@ -435,22 +439,10 @@ class Telemetry:
 
     def merged_metrics(self) -> MetricsRegistry:
         """Counters summed, histograms merged, gauges worker-prefixed."""
-        merged = MetricsRegistry()
-        for w in self._workers:
-            m = w.metrics
-            for name, v in m.counters.items():
-                merged.incr(name, v)
-            for name, v in m.gauges.items():
-                merged.set_gauge(f"{w.name}.{name}", v)
-            for name, hist in m.histograms.items():
-                target = merged.histograms.get(name)
-                if target is None:
-                    # Clone the first worker's shape so merge() accepts the
-                    # rest (all workers share the default shape anyway).
-                    merged.histograms[name] = copy.deepcopy(hist)
-                else:
-                    target.merge(hist)
-        return merged
+        return merge_registries(
+            (w.name, w.metrics.counters, w.metrics.gauges, w.metrics.histograms)
+            for w in self._workers
+        )
 
     # -- export ------------------------------------------------------------
     def export(self, run_dir: Union[str, Path]) -> dict[str, Path]:

@@ -89,26 +89,30 @@ def test_sketch_quantile_within_relative_error(samples, q):
 @settings(max_examples=100, deadline=None)
 @given(samples=positive_samples, cut=st.integers(min_value=0, max_value=200))
 def test_sketch_split_merge_is_bit_identical(samples, cut):
-    cut = min(cut, len(samples))
+    cut %= len(samples) + 1
     whole = DDSketch()
     for x in samples:
         whole.observe(x)
-    left, right = DDSketch(), DDSketch()
-    for x in samples[:cut]:
-        left.observe(x)
-    for x in samples[cut:]:
-        right.observe(x)
+
+    def part(xs):
+        sketch = DDSketch()
+        for x in xs:
+            sketch.observe(x)
+        return sketch
+
     # Merge in both orders: the result must equal the single stream.
-    right.merge(left)
-    left_copy = DDSketch()
-    for x in samples[:cut]:
-        left_copy.observe(x)
-    for x in samples[cut:]:
-        left_copy.observe(x)
-    assert right.counts == whole.counts
-    assert right == left_copy == whole
-    for q in (0.0, 50.0, 90.0, 99.0, 100.0):
-        assert right.quantile(q) == whole.quantile(q)
+    left_first = part(samples[:cut])
+    left_first.merge(part(samples[cut:]))
+    right_first = part(samples[cut:])
+    right_first.merge(part(samples[:cut]))
+    for merged in (left_first, right_first):
+        assert merged.counts == whole.counts
+        assert merged == whole
+        assert merged.total == whole.total == math.fsum(samples)
+        assert merged.mean == whole.mean
+        assert merged.summary() == whole.summary()
+        for q in (0.0, 50.0, 90.0, 99.0, 100.0):
+            assert merged.quantile(q) == whole.quantile(q)
 
 
 def test_sketch_merge_rejects_mismatched_geometry():

@@ -4,6 +4,7 @@ exporters, run directories and the inspect CLI."""
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,12 @@ from repro.core.config import WorkerConfig
 from repro.core.function import FunctionRegistration
 from repro.core.worker import Worker
 from repro.loadbalancer.cluster import Cluster
-from repro.metrics import LATENCY_HISTOGRAMS, LogHistogram, MetricsRegistry
+from repro.metrics import (
+    LATENCY_HISTOGRAMS,
+    DDSketch,
+    MetricsRegistry,
+    merge_registries,
+)
 from repro.metrics.registry import InvocationRecord, Outcome
 from repro.sim.core import Environment
 from repro.telemetry import (
@@ -56,118 +62,143 @@ def _run_worker(n_invocations=3, telemetry_config=None, until=30.0):
 
 
 # ---------------------------------------------------------------- histogram
+# The registry's histograms are DDSketch quantile sketches; the sketch's
+# accuracy, merge and pickling contracts live in tests/test_health.py and
+# tests/test_property_histogram.py.  These cover the rest of its surface.
 def test_histogram_bucket_semantics():
-    h = LogHistogram(lo=0.001, hi=10.0, buckets_per_decade=1)
-    # bounds = [0.001, 0.01, 0.1, 1.0, 10.0]; zero lands in bucket 0.
+    h = DDSketch(relative_accuracy=0.01, min_value=1e-9)
+    # At or below min_value: the zero bucket.  Above: bucket k holds
+    # (gamma^(k-1), gamma^k], with no overflow bucket at the top.
     h.observe(0.0)
-    h.observe(0.001)     # == bounds[0] -> bucket 0
-    h.observe(0.005)     # (0.001, 0.01] -> bucket 1
-    h.observe(100.0)     # overflow
-    assert h.count == 4
-    assert h.counts[0] == 2
-    assert h.counts[1] == 1
-    assert h.counts[-1] == 1
-    assert h.minimum == 0.0 and h.maximum == 100.0
+    h.observe(1e-9)
+    h.observe(1.0)                 # == gamma^0, the top of bucket 0
+    h.observe(h.gamma ** 4.5)      # inside bucket 5
+    h.observe(h.gamma ** 5.5)      # inside bucket 6
+    h.observe(1e300)
+    assert h.count == 6
+    assert h.zero_count == 2
+    assert h.counts[0] == 1 and h.counts[5] == 1 and h.counts[6] == 1
+    assert sum(h.counts.values()) == 4
+    assert h.minimum == 0.0 and h.maximum == 1e300
 
 
 def test_histogram_rejects_bad_samples():
-    h = LogHistogram()
-    with pytest.raises(ValueError):
-        h.observe(-1.0)
-    with pytest.raises(ValueError):
-        h.observe(float("nan"))
+    h = DDSketch()
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative"):
+            h.observe(bad)
+    assert h.count == 0 and h.total == 0.0
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
-        LogHistogram(lo=0.0)
-    with pytest.raises(ValueError):
-        LogHistogram(lo=1.0, hi=0.5)
-    with pytest.raises(ValueError):
-        LogHistogram(buckets_per_decade=0)
-    h = LogHistogram()
+    h = DDSketch()
     with pytest.raises(ValueError):
         h.quantile(101)
-    assert math.isnan(h.quantile(50))
+    # Empty: quantile queries are NaN, but the JSON-bound summary says
+    # null rather than NaN.
+    assert math.isnan(h.quantile(50)) and math.isnan(h.mean)
+    assert h.summary() == {
+        "count": 0, "mean": None, "min": None, "max": None,
+        "p50": None, "p90": None, "p99": None,
+    }
+    assert list(h.cumulative()) == [(math.inf, 0)]
 
 
 def test_histogram_quantiles_bounded_by_bucket():
-    h = LogHistogram(lo=1e-4, hi=1e3, buckets_per_decade=10)
-    # Stays within [lo, hi]: in-range samples get the one-bucket guarantee
-    # (the overflow bucket is only bounded by the observed max).
+    h = DDSketch(relative_accuracy=0.01)
     samples = [0.01 * 1.07**i for i in range(150)]
     for s in samples:
         h.observe(s)
-    samples.sort()
-    for q in (50, 90, 99, 100):
+    for q in (0, 50, 90, 99, 100):
         rank = max(1, math.ceil(q / 100 * len(samples)))
         exact = samples[rank - 1]
         est = h.quantile(q)
-        # Estimate within one geometric bucket of the exact quantile.
-        assert exact / h.growth <= est <= exact * h.growth
-    assert h.quantile(100) == pytest.approx(h.maximum)
+        assert abs(est - exact) <= 0.01 * exact
+        assert h.minimum <= est <= h.maximum
+    # Estimates clamp to the observed range: one sample reads back exactly.
+    single = DDSketch(relative_accuracy=0.05)
+    single.observe(0.123)
+    assert all(single.quantile(q) == 0.123 for q in (0, 50, 100))
+
+
+def _registry_with(values):
+    reg = MetricsRegistry()
+    reg.enable_latency_histograms()
+    for v in values:
+        reg.observe("e2e_seconds", v)
+    return reg
+
+
+def _parts(*registries):
+    return [
+        (f"w-{i}", reg.counters, reg.gauges, reg.histograms)
+        for i, reg in enumerate(registries)
+    ]
 
 
 def test_histogram_merge():
-    a, b = LogHistogram(), LogHistogram()
+    a, b = MetricsRegistry(), MetricsRegistry()
+    a.incr("invocations.completed", 2)
+    b.incr("invocations.completed", 2)
+    a.set_gauge("queue", 1.0)
+    b.set_gauge("queue", 3.0)
     for v in (0.1, 0.2):
-        a.observe(v)
-    for v in (0.4, 0.8):
-        b.observe(v)
-    a.merge(b)
-    assert a.count == 4
-    assert a.total == pytest.approx(1.5)
-    assert a.maximum == 0.8
-    with pytest.raises(ValueError):
-        a.merge(LogHistogram(lo=1e-3))
-
-
-def test_histogram_merge_mismatch_names_both_geometries():
-    # The error must say *how* the shapes differ — base, offset, bound
-    # count — so a failed shard merge is diagnosable from the message.
-    with pytest.raises(ValueError, match=r"offset 1e-05 vs 0\.001"):
-        LogHistogram().merge(LogHistogram(lo=1e-3))
-    with pytest.raises(ValueError, match=r"base .* vs .*bounds"):
-        LogHistogram().merge(LogHistogram(buckets_per_decade=5))
+        a.observe("e2e_seconds", v)
+    b.observe("e2e_seconds", 0.3)
+    merged = merge_registries(_parts(a, b))
+    assert merged.counters == {"invocations.completed": 4}
+    assert merged.gauges == {"w-0.queue": 1.0, "w-1.queue": 3.0}
+    hist = merged.histograms["e2e_seconds"]
+    assert hist.count == 3
+    # The exact sum, rounded once: (0.1 + 0.2) + 0.3 would give
+    # 0.6000000000000001.
+    assert hist.total == math.fsum((0.1, 0.2, 0.3)) == 0.6
+    assert hist.mean == 0.2
+    assert hist.maximum == 0.3 and hist.minimum == 0.1
+    # The inputs are left untouched.
+    assert a.histograms["e2e_seconds"].count == 2
 
 
 def test_histogram_merge_empty_is_identity():
-    h = LogHistogram()
-    for v in (0.05, 0.2, 1.5):
-        h.observe(v)
-    counts = list(h.counts)
-    h.merge(LogHistogram())          # populated <- empty: no-op
-    assert h.counts == counts
-    assert (h.count, h.minimum, h.maximum) == (3, 0.05, 1.5)
-    empty = LogHistogram()
-    empty.merge(h)                   # empty <- populated: full copy
-    assert empty.counts == h.counts
-    assert (empty.count, empty.minimum, empty.maximum) == (3, 0.05, 1.5)
+    # A worker that completed nothing still carries its (empty) latency
+    # histograms; merging it in, first or last, changes nothing.
+    busy = _registry_with([0.05, 0.2, 1.5])
+    idle = _registry_with([])
+    alone = merge_registries(_parts(busy)).histograms
+    for parts in (_parts(busy, idle), _parts(idle, busy)):
+        merged = merge_registries(parts).histograms
+        assert merged == alone
+        assert merged["e2e_seconds"].summary() == busy.histograms["e2e_seconds"].summary()
+        assert merged["queue_seconds"].count == 0
 
 
 def test_histogram_quantile_after_merge_matches_single_stream():
     samples = [0.01 * (i + 1) for i in range(50)] + [2.0, 5.0, 9.0]
-    whole = LogHistogram()
-    for v in samples:
-        whole.observe(v)
-    a, b = LogHistogram(), LogHistogram()
-    for i, v in enumerate(samples):
-        (a if i % 2 else b).observe(v)
-    a.merge(b)
-    assert a.counts == whole.counts
+    whole = _registry_with(samples).histograms["e2e_seconds"]
+    workers = [_registry_with(samples[i::3]) for i in range(3)]
+    merged = merge_registries(_parts(*workers)).histograms["e2e_seconds"]
+    assert merged == whole
+    # summary.json's histogram entry, mean included, is the single
+    # stream's bit for bit.
+    assert merged.summary() == whole.summary()
     for q in (0, 50, 90, 99, 100):
-        assert a.quantile(q) == whole.quantile(q)
+        assert merged.quantile(q) == whole.quantile(q)
 
 
 def test_histogram_cumulative_and_reset():
-    h = LogHistogram(lo=0.1, hi=10.0, buckets_per_decade=1)
-    h.observe(0.5)
+    reg = _registry_with([0.0, 0.5, 0.5, 2.0])
+    h = reg.histograms["e2e_seconds"]
     pairs = list(h.cumulative())
-    assert pairs[-1] == (float("inf"), 1)
-    cums = [c for _, c in pairs]
-    assert cums == sorted(cums)  # cumulative counts are monotone
-    h.reset()
-    assert h.count == 0 and h.maximum is None
+    # One entry per non-empty bucket (zero bucket first), then +Inf.
+    assert len(pairs) == 4
+    assert pairs[0] == (h.min_value, 1)
+    assert pairs[-1] == (math.inf, 4)
+    bounds = [b for b, _ in pairs]
+    assert bounds == sorted(set(bounds))
+    assert [c for _, c in pairs] == [1, 3, 4, 4]
+    assert pairs[1][0] >= 0.5 and pairs[2][0] >= 2.0
+    reg.reset()
+    assert list(reg.histograms["e2e_seconds"].cumulative()) == [(math.inf, 0)]
 
 
 def test_registry_latency_histograms_opt_in():
@@ -337,6 +368,9 @@ def test_prometheus_rendering_parses():
             exec_time=0.1, e2e_time=0.15, queue_time=0.02, overhead=0.05,
         )
     )
+    e2e = [0.15, 0.1, 0.2, 0.2, 0.3, 1.7, 0.0, 12.5]
+    for v in e2e[1:]:
+        reg.observe("e2e_seconds", v)
     text = render_prometheus(reg)
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -346,12 +380,23 @@ def test_prometheus_rendering_parses():
         assert PROM_LINE.match(line), f"bad exposition line: {line!r}"
     assert "repro_scheduler_bypass_total 3" in lines
     assert "repro_pool_memory_used 42.5" in lines
-    # Histogram family: buckets, +Inf closer, sum and count.
-    assert any(
-        line.startswith("repro_e2e_seconds_bucket{le=") for line in lines
-    )
-    assert 'repro_e2e_seconds_bucket{le="+Inf"} 1' in lines
-    assert "repro_e2e_seconds_count 1" in lines
+    # Histogram family: cumulative buckets at ascending bounds, one per
+    # non-empty sketch bucket, closed by le="+Inf" == _count; _sum exact.
+    buckets = [
+        re.match(r'repro_e2e_seconds_bucket\{le="([^"]+)"\} (\d+)$', line)
+        for line in lines if line.startswith("repro_e2e_seconds_bucket")
+    ]
+    assert all(buckets)
+    bounds = [float(m.group(1)) for m in buckets]
+    counts = [int(m.group(2)) for m in buckets]
+    assert buckets[-1].group(1) == "+Inf"
+    assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
+    assert counts == sorted(counts)
+    assert len(buckets) == len(set(e2e)) + 1  # non-empty buckets + "+Inf"
+    assert counts[-1] == len(e2e)
+    assert f"repro_e2e_seconds_count {len(e2e)}" in lines
+    assert f"repro_e2e_seconds_sum {math.fsum(e2e)!r}" in lines
+    assert 'repro_queue_seconds_bucket{le="+Inf"} 1' in lines
     # TYPE declarations for all three metric kinds.
     joined = "\n".join(lines)
     for kind in ("counter", "gauge", "histogram"):
@@ -512,6 +557,81 @@ def test_export_load_run_and_inspect(tmp_path):
     assert "overhead decomposition" in report
     assert "phase sums match 3/3 records" in report
     assert "latency distributions" in report
+
+
+def _nearest_rank(values, q):
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
+
+
+def test_summary_quantiles_within_sketch_accuracy(tmp_path):
+    env = Environment()
+    cluster = Cluster(
+        env, num_workers=2, config=WorkerConfig(cores=2, memory_mb=4096),
+    )
+    telemetry = Telemetry(env, TelemetryConfig(interval=1.0))
+    cluster.attach_telemetry(telemetry)
+    telemetry.start()
+    cluster.start()
+    regs = [
+        FunctionRegistration(
+            name=f"f{i}", memory_mb=128, warm_time=0.05 * (i + 1),
+            cold_time=0.4 + 0.1 * i,
+        )
+        for i in range(4)
+    ]
+    for reg in regs:
+        cluster.register_sync(reg)
+
+    def drive(reg, gap):
+        for _ in range(15):
+            cluster.async_invoke(reg.fqdn())
+            yield env.timeout(gap)
+
+    for i, reg in enumerate(regs):
+        env.process(drive(reg, 0.13 + 0.07 * i), name=f"drive-{i}")
+    env.run(until=60.0)
+    telemetry.stop()
+    telemetry.export(tmp_path)
+
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    with open(tmp_path / "records.jsonl") as fh:
+        done = [
+            r for r in map(json.loads, fh)
+            if r["outcome"] not in ("dropped", "timeout")
+        ]
+    assert len(done) == 60
+    columns = {"e2e_seconds": "e2e_time", "queue_seconds": "queue_time",
+               "overhead_seconds": "overhead"}
+    for name, column in columns.items():
+        values = [r[column] for r in done]
+        stats = summary["histograms"][name]
+        assert stats["count"] == len(values)
+        assert stats["min"] == min(values) and stats["max"] == max(values)
+        # The exact mean, rounded once.
+        assert stats["mean"] == float(sum(map(Fraction, values)) / len(values))
+        for q in (50, 90, 99):
+            exact = _nearest_rank(values, q)
+            # Zero-bucket samples (<= 1e-9 s) report 0.0.
+            tolerance = 0.01 * exact if exact > 1e-9 else 1e-9
+            assert abs(stats[f"p{q}"] - exact) <= tolerance, (name, q)
+
+
+def test_summary_json_strict_when_nothing_completed(tmp_path):
+    _, telemetry = _run_worker(n_invocations=0, telemetry_config=TelemetryConfig())
+    telemetry.export(tmp_path)
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    summary = json.loads(
+        (tmp_path / "summary.json").read_text(), parse_constant=reject
+    )
+    assert summary["invocations"] == 0
+    for name in LATENCY_HISTOGRAMS:
+        stats = summary["histograms"][name]
+        assert stats["count"] == 0
+        assert all(stats[k] is None for k in ("mean", "min", "max", "p50", "p90", "p99"))
 
 
 def test_inspect_empty_dir(tmp_path):
