@@ -1,7 +1,8 @@
 """The shard coordinator: the load balancer, run against remote loads.
 
 The coordinator owns everything a single-process :class:`Cluster` keeps
-at the LB layer — the status board, the balancer, the pick/RPC spans, the
+at the LB layer — the status board, the dispatch policy (built by the
+same ``make_dispatch`` factory), the pick/RPC spans and trace events, the
 placement counters — but its workers live in shard processes.  It walks
 the invocation plan **epoch by epoch**: sync points (the arrivals where a
 single-process balancer would have read worker loads, precomputed by
@@ -39,9 +40,9 @@ from typing import Generator, Optional, Sequence
 import numpy as np
 
 from ..core.config import WorkerConfig
-from ..dispatch.registry import is_pull_policy
+from ..dispatch.registry import make_dispatch
 from ..loadbalancer.cluster import Cluster
-from ..loadbalancer.policies import StatusBoard, make_balancer
+from ..loadbalancer.policies import StatusBoard
 from ..metrics.spans import SpanRecorder
 from .protocol import (
     EPOCH_CHUNK,
@@ -288,23 +289,21 @@ def run_sharded_replay(
     and they never touch simulated state.
 
     Raises :class:`ShardingUnavailable` when shard processes cannot start
-    (callers fall back to the single-process path), and ``ValueError``
-    when ``rpc_latency`` is not positive — the seam latency is the
-    conservative lookahead, so sharding without it is unsound.
+    or ``lb_policy`` is a pull policy (callers fall back to the
+    single-process path), and ``ValueError`` when ``rpc_latency`` is not
+    positive — the seam latency is the conservative lookahead, so
+    sharding without it is unsound.
     """
     if rpc_latency <= 0:
         raise ValueError(
             "sharded runs need rpc_latency > 0: the LB->worker dispatch "
             "latency is the lookahead that makes the epoch barrier safe"
         )
-    if is_pull_policy(lb_policy):
-        # Checked again inside sync_indices; guarding here keeps the
-        # refusal independent of call ordering and before any shard setup.
-        raise ShardingUnavailable(
-            f"pull dispatch policy {lb_policy!r} claims from a shared "
-            "logical queue; the epoch seam carries no claim traffic, so "
-            "pull runs are serial-only"
-        )
+    n = len(plan)
+    ts_arr = np.asarray(plan.timestamps, dtype=np.float64)
+    # Refuses pull policies and bad status intervals before any shard
+    # setup.
+    sync_set = sync_indices(ts_arr, lb_policy, status_interval)
     import multiprocessing as mp
 
     if mp.current_process().daemon:
@@ -329,11 +328,8 @@ def run_sharded_replay(
             shard_of[i] = s
             local_of[i] = i - rng.start
 
-    n = len(plan)
-    ts_arr = np.asarray(plan.timestamps, dtype=np.float64)
     if horizon is None:
         horizon = plan.duration + grace
-    sync_set = sync_indices(ts_arr, lb_policy, status_interval)
     segments = plan_epochs(n, sync_set)
     chunk = int(chunk_size or EPOCH_CHUNK)
     fqdn_codes, fqdn_vocab = _plan_codes(plan.fqdns)
@@ -360,9 +356,10 @@ def run_sharded_replay(
         live_load_fn=loads.__getitem__,
         interval=status_interval,
     )
-    balancer = make_balancer(lb_policy, status_board.load, bound_factor=bound_factor)
+    policy = make_dispatch(lb_policy, load_fn=status_board.load,
+                           bound_factor=bound_factor)
     for name in worker_names:
-        balancer.add_worker(name)
+        policy.add_worker(name)
     spans = SpanRecorder(
         clock=partial(getattr, clk, "now"), enabled=base.tracing_enabled
     )
@@ -396,18 +393,18 @@ def run_sharded_replay(
 
     placements = 0
     sent = [0] * num_shards
-    pick = balancer.pick
+    pick = policy.pick
     emit = spans.emit
     spans_on = spans.enabled
     rpc = float(rpc_latency)
     trace_on = telemetry_config is not None and getattr(
         telemetry_config, "trace", False
     )
-    lb_trace: Optional[list] = None
+    lb_trace = None
     if trace_on:
-        from ..tracing import TraceEvent
+        from ..tracing import TraceCollector
 
-        lb_trace = []
+        lb_trace = TraceCollector()
     fr = FlightRecorder() if flight_recorder else None
     live_writer = None
     next_live_t = 0.0
@@ -501,19 +498,11 @@ def run_sharded_replay(
                 # The seam's pick-side trace events: same times the serial
                 # Cluster.async_invoke stamps (pick at t, rpc [t, t+rpc]),
                 # trace id = sharded invocation id (arrival index + 1).
-                names = worker_names
+                record_lb = lb_trace.record_lb
                 for i in range(m):
                     t = tlist[i]
-                    tid = a + i + 1
-                    lb_trace.append(TraceEvent(
-                        trace_id=tid, seq=0, name="lb_pick", kind="lb",
-                        start=t, end=t,
-                    ))
-                    lb_trace.append(TraceEvent(
-                        trace_id=tid, seq=1, name="lb_rpc", kind="lb",
-                        start=t, end=t + rpc, parent="lb_pick",
-                        worker=names[picks[i]],
-                    ))
+                    record_lb(a + i + 1, t, t, t, t + rpc,
+                              worker_names[picks[i]])
             if live_writer is not None and m and tlist[-1] >= next_live_t:
                 live_writer.heartbeat({
                     "t": tlist[-1],
@@ -613,11 +602,11 @@ def run_sharded_replay(
             shard_parts=tele_parts,
             lb_spans=spans.spans(),
             lb_loads=lb_loads,
-            lb_traces=lb_trace,
+            lb_traces=None if lb_trace is None else lb_trace.events,
             flight=flight_log,
             seam_stats=seam_stats,
             shards=num_shards,
-            dispatch_info={"policy": balancer.name, "kind": "push"},
+            dispatch_info=policy.info(),
         )
 
     if live_writer is not None:
@@ -636,7 +625,7 @@ def run_sharded_replay(
 
     return ShardedOutcome(
         summaries=summaries,
-        forwards=getattr(balancer, "forwards", 0),
+        forwards=policy.forwards,
         placements=placements,
         per_worker_records=per_worker,
         telemetry=telemetry,

@@ -1,10 +1,10 @@
 """The dispatch-policy contract: how an invocation finds a worker.
 
-Historically the placement decision lived inside the load balancer:
-``LoadBalancingPolicy.pick()`` was called synchronously at the LB and the
-chosen worker was *pushed* the invocation.  Pull-based schedulers (Hiku
-and friends) invert that flow — idle workers *claim* work from a shared
-logical queue — and the two shapes cannot share the pick() interface.
+Push balancers decide at the LB: ``pick()`` is called synchronously and
+the chosen worker is *pushed* the invocation.  Pull-based schedulers
+(Hiku and friends) invert that flow — idle workers *claim* work from a
+shared logical queue — and the two shapes cannot share the pick()
+interface.
 
 This package is the seam both shapes plug into.  A
 :class:`DispatchPolicy` answers three questions:
@@ -61,11 +61,21 @@ class DispatchPolicy:
     """Uniform contract for push and pull dispatch policies.
 
     ``kind`` is ``"push"`` or ``"pull"``; engines branch on it once at
-    construction, never per invocation.
+    construction, never per invocation.  ``reads_load`` says whether
+    placement reads worker loads (the shard seam synchronizes loads only
+    for those policies); ``options`` names the
+    :func:`~repro.dispatch.registry.make_dispatch` keywords the
+    constructor takes.
     """
 
     name = "dispatch"
     kind = PUSH
+    reads_load = False
+    options: tuple[str, ...] = ()
+
+    def info(self) -> dict:
+        """The ``dispatch`` entry of a run's ``summary.json``."""
+        return {"policy": self.name, "kind": self.kind}
 
     def add_worker(self, name: str) -> None:
         raise NotImplementedError

@@ -36,6 +36,7 @@ class PullDispatch(DispatchPolicy):
     """Shared FIFO queue that idle workers claim from."""
 
     kind = PULL
+    options = ("env",)
 
     def __init__(self, env: Environment, name: str = "pull"):
         self.env = env
@@ -102,6 +103,8 @@ class LocalityPullDispatch(PullDispatch):
     over the container pools); the policy itself stays ignorant of the
     worker layer.
     """
+
+    options = ("env", "warm_fn")
 
     def __init__(self, env: Environment,
                  warm_fn: Callable[[str, str], bool],

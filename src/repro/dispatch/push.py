@@ -1,12 +1,11 @@
-"""Push dispatch: the classic pick-then-forward shape as a thin adapter.
+"""Push dispatch: the classic pick-then-forward shape.
 
-The existing balancers (round-robin, least-loaded, CH-BL) already *are*
-push policies; this adapter re-expresses them behind the
-:class:`~repro.dispatch.base.DispatchPolicy` contract without changing a
-single decision.  The wrapped balancer stays reachable as ``.balancer``
-on purpose: the serial cluster keeps calling ``balancer.pick()`` through
-the historical statement sequence, which is what keeps pre-refactor runs
-bit-for-bit identical (the golden A/B fixture pins this).
+A push policy places an invocation the moment it arrives: ``pick(fqdn)``
+names the worker and the cluster forwards the invocation there.  The
+load balancers (round-robin, least-loaded, CH-BL in
+:mod:`repro.loadbalancer`) subclass :class:`PushDispatch` directly and
+implement ``pick``; everything else the dispatch contract asks of a push
+policy lives here once.
 """
 
 from __future__ import annotations
@@ -19,32 +18,37 @@ __all__ = ["PushDispatch"]
 
 
 class PushDispatch(DispatchPolicy):
-    """Adapter wrapping a ``LoadBalancingPolicy``-shaped balancer.
+    """Base class of the push balancers.
 
-    The balancer is duck-typed: anything with ``add_worker`` /
-    ``remove_worker`` / ``pick`` and a ``name`` works, so this module
-    never imports the loadbalancer package (no import cycle, and the
-    dispatch layer stays self-contained).
+    Membership is a list in registration order (CH-BL overrides it with
+    its hash ring).  ``offer`` is the pick plus the claim stamps, push
+    workers never claim, and ``forwards`` counts placements that left a
+    function's home worker — 0 for policies without a home worker.
     """
 
     kind = PUSH
+    forwards = 0
 
-    def __init__(self, balancer):
-        self.balancer = balancer
-        self.name = balancer.name
+    def __init__(self):
+        self._workers: list[str] = []
 
     def add_worker(self, name: str) -> None:
-        self.balancer.add_worker(name)
+        if name in self._workers:
+            raise ValueError(f"worker {name!r} already registered")
+        self._workers.append(name)
 
     def remove_worker(self, name: str) -> None:
-        self.balancer.remove_worker(name)
+        if name not in self._workers:
+            raise ValueError(f"worker {name!r} not registered")
+        self._workers.remove(name)
 
     def pick(self, fqdn: str) -> str:
-        return self.balancer.pick(fqdn)
+        """The worker this invocation is pushed to."""
+        raise NotImplementedError
 
     def offer(self, offer: Offer) -> Optional[str]:
         # Push places at offer time: the decision *is* the pick.
-        target = self.balancer.pick(offer.fqdn)
+        target = self.pick(offer.fqdn)
         offer.claimed_at = offer.offered_at
         offer.claimed_by = target
         return target
@@ -55,7 +59,3 @@ class PushDispatch(DispatchPolicy):
 
     def on_complete(self, worker: str, offer: Optional[Offer]) -> None:
         return None
-
-    @property
-    def forwards(self) -> int:
-        return getattr(self.balancer, "forwards", 0)

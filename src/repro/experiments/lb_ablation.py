@@ -133,7 +133,7 @@ def _bound_factor_row(
         "bound_factor": factor,
         "completed": len(done),
         "warm_ratio": warm / max(len(done), 1),
-        "forwards": cluster.balancer.forwards,
+        "forwards": cluster.dispatch.forwards,
         "e2e_p50_ms": percentile(e2e, 50) * 1000.0,
         "e2e_p99_ms": percentile(e2e, 99) * 1000.0,
     }

@@ -1,25 +1,15 @@
 """Load balancing: CH-BL and the cluster front end."""
 
-from .chbl import BoundedLoadBalancer, ConsistentHashRing, hash_point
+from .chbl import CHBLPolicy, ConsistentHashRing, hash_point
 from .cluster import Cluster
-from .policies import (
-    CHBLPolicy,
-    LeastLoadedBalancer,
-    LoadBalancingPolicy,
-    RoundRobinBalancer,
-    StatusBoard,
-    make_balancer,
-)
+from .policies import LeastLoadedBalancer, RoundRobinBalancer, StatusBoard
 
 __all__ = [
-    "BoundedLoadBalancer",
     "ConsistentHashRing",
     "hash_point",
     "Cluster",
     "CHBLPolicy",
     "LeastLoadedBalancer",
-    "LoadBalancingPolicy",
     "RoundRobinBalancer",
     "StatusBoard",
-    "make_balancer",
 ]

@@ -17,9 +17,11 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
-__all__ = ["hash_point", "ConsistentHashRing", "BoundedLoadBalancer"]
+from ..dispatch.push import PushDispatch
+
+__all__ = ["hash_point", "ConsistentHashRing", "CHBLPolicy"]
 
 
 def hash_point(key: str, salt: int = 0) -> int:
@@ -78,13 +80,18 @@ class ConsistentHashRing:
         return seen
 
 
-class BoundedLoadBalancer:
+class CHBLPolicy(PushDispatch):
     """CH-BL: consistent hashing + bounded-load forwarding.
 
     ``load_fn(member)`` returns the member's current load;
     ``bound_factor`` is the paper's *c* (load bound = ceil(c * mean load),
     with a minimum headroom of 1 so an idle cluster still places work).
+    Membership lives on the hash ring.
     """
+
+    name = "ch_bl"
+    reads_load = True
+    options = ("load_fn", "bound_factor")
 
     def __init__(
         self,
@@ -92,18 +99,23 @@ class BoundedLoadBalancer:
         bound_factor: float = 1.2,
         vnodes: int = 64,
     ):
-        if bound_factor < 1.0:
-            raise ValueError("bound_factor must be >= 1.0")
+        if not 1.0 <= bound_factor < math.inf:
+            raise ValueError(
+                f"bound_factor must be finite and >= 1.0, got {bound_factor!r}"
+            )
         self.ring = ConsistentHashRing(vnodes=vnodes)
         self.load_fn = load_fn
         self.bound_factor = bound_factor
         self.forwards = 0
-        self.placements = 0
 
     def add_worker(self, name: str) -> None:
         self.ring.add(name)
 
     def remove_worker(self, name: str) -> None:
+        # Uniform error contract across every policy (the ring's own
+        # message talks about "members", which leaks the implementation).
+        if name not in self.ring.members():
+            raise ValueError(f"worker {name!r} not registered")
         self.ring.remove(name)
 
     def bound(self) -> float:
@@ -119,7 +131,6 @@ class BoundedLoadBalancer:
         if not order:
             raise RuntimeError("no workers registered")
         limit = self.bound()
-        self.placements += 1
         for i, member in enumerate(order):
             if self.load_fn(member) <= limit:
                 self.forwards += i and 1

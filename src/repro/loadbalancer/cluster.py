@@ -6,11 +6,10 @@ the paper), so experiments and load generators can target either.
 Registrations are broadcast to every worker; placement is per-invocation.
 
 Placement itself is delegated to :mod:`repro.dispatch`.  Push policies
-(CH-BL, round-robin, least-loaded) keep the historical pick-then-forward
-invoke path — statement for statement, so pre-refactor runs stay
-bit-for-bit identical — while pull policies route through a
-:class:`~repro.dispatch.engine.PullEngine` whose per-worker claim loops
-drain a shared logical queue.
+(CH-BL, round-robin, least-loaded) take the pick-then-forward invoke
+path — one ``pick`` call on the policy, then the RPC hop — while pull
+policies route through a :class:`~repro.dispatch.engine.PullEngine`
+whose per-worker claim loops drain a shared logical queue.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from ..dispatch import PullEngine, make_dispatch
 from ..errors import FunctionNotRegistered
 from ..metrics.spans import SpanRecorder
 from ..sim.core import Environment, Event
-from .chbl import BoundedLoadBalancer
-from .policies import StatusBoard, make_balancer
+from .policies import StatusBoard
 
 __all__ = ["Cluster"]
 
@@ -81,8 +79,8 @@ class Cluster:
         for name in self.workers:
             self.dispatch.add_worker(name)
         self.rpc_latency = float(rpc_latency)
+        self._pull = None
         if self.dispatch.kind == "pull":
-            self.balancer = None
             self._pull = PullEngine(
                 env,
                 self.workers,
@@ -91,11 +89,6 @@ class Cluster:
                                else float(claim_latency)),
                 on_claim=self._count_claim,
             )
-        else:
-            # The adapter's wrapped balancer keeps the historical pick
-            # call sequence on the invoke path (golden-fixture pinned).
-            self.balancer = self.dispatch.balancer
-            self._pull = None
         self.registrations: dict[str, FunctionRegistration] = {}
         self.placements = 0
         # LB-level spans (placement decisions, RPC hops) share the workers'
@@ -156,7 +149,7 @@ class Cluster:
         tracer = self.tracer
         pick_t = self.env.now if tracer is not None else 0.0
         handle = spans.begin("lb_pick", tag=fqdn)
-        target = self.balancer.pick(fqdn)
+        target = self.dispatch.pick(fqdn)
         spans.end(handle)
         self.placements += 1
         worker = self.workers[target]
@@ -202,7 +195,7 @@ class Cluster:
 
     def dispatch_info(self) -> dict:
         """Summary-stable description of the active dispatch policy."""
-        info = {"policy": self.dispatch.name, "kind": self.dispatch.kind}
+        info = self.dispatch.info()
         if self._pull is not None:
             info["claim_latency"] = self._pull.claim_latency
         return info
@@ -212,7 +205,7 @@ class Cluster:
         return {
             "workers": {name: w.status() for name, w in self.workers.items()},
             "policy": self.dispatch.name,
-            "forwards": getattr(self.balancer, "forwards", 0),
+            "forwards": getattr(self.dispatch, "forwards", 0),
             "placements": self.placements,
         }
 

@@ -2,7 +2,8 @@
 
 The paper argues for locality-aware CH-BL over locality-blind schemes;
 to make that comparison runnable this module provides the classic
-baselines (round-robin, least-loaded) behind one interface, plus a
+baselines (round-robin, least-loaded) as push dispatch policies next to
+:class:`~repro.loadbalancer.chbl.CHBLPolicy`, plus a
 :class:`StatusBoard` that models the *staleness* of load information —
 workers push status snapshots periodically, and the balancer decides on
 the last snapshot rather than live state (the reality the paper's
@@ -13,17 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .chbl import BoundedLoadBalancer
+from ..dispatch.push import PushDispatch
+from .chbl import CHBLPolicy
 
 __all__ = [
-    "LoadBalancingPolicy",
     "RoundRobinBalancer",
     "LeastLoadedBalancer",
     "CHBLPolicy",
     "StatusBoard",
-    "make_balancer",
+    "check_status_interval",
     "snap_to_grid",
 ]
 
@@ -50,39 +51,14 @@ def snap_to_grid(t: float, interval: float) -> float:
         return t - math.fmod(t, interval)
 
 
-class LoadBalancingPolicy:
-    """Maps an invocation's function to a worker name."""
-
-    name = "base"
-
-    def add_worker(self, name: str) -> None:
-        raise NotImplementedError
-
-    def remove_worker(self, name: str) -> None:
-        raise NotImplementedError
-
-    def pick(self, fqdn: str) -> str:
-        raise NotImplementedError
-
-
-class RoundRobinBalancer(LoadBalancingPolicy):
+class RoundRobinBalancer(PushDispatch):
     """Locality-blind rotation — the classic strawman."""
 
     name = "round_robin"
 
     def __init__(self):
-        self._workers: list[str] = []
+        super().__init__()
         self._cursor = itertools.count()
-
-    def add_worker(self, name: str) -> None:
-        if name in self._workers:
-            raise ValueError(f"worker {name!r} already registered")
-        self._workers.append(name)
-
-    def remove_worker(self, name: str) -> None:
-        if name not in self._workers:
-            raise ValueError(f"worker {name!r} not registered")
-        self._workers.remove(name)
 
     def pick(self, fqdn: str) -> str:
         if not self._workers:
@@ -90,24 +66,16 @@ class RoundRobinBalancer(LoadBalancingPolicy):
         return self._workers[next(self._cursor) % len(self._workers)]
 
 
-class LeastLoadedBalancer(LoadBalancingPolicy):
+class LeastLoadedBalancer(PushDispatch):
     """Send every invocation to the currently least-loaded worker."""
 
     name = "least_loaded"
+    reads_load = True
+    options = ("load_fn",)
 
     def __init__(self, load_fn: Callable[[str], float]):
-        self._workers: list[str] = []
+        super().__init__()
         self.load_fn = load_fn
-
-    def add_worker(self, name: str) -> None:
-        if name in self._workers:
-            raise ValueError(f"worker {name!r} already registered")
-        self._workers.append(name)
-
-    def remove_worker(self, name: str) -> None:
-        if name not in self._workers:
-            raise ValueError(f"worker {name!r} not registered")
-        self._workers.remove(name)
 
     def pick(self, fqdn: str) -> str:
         if not self._workers:
@@ -115,36 +83,19 @@ class LeastLoadedBalancer(LoadBalancingPolicy):
         return min(self._workers, key=self.load_fn)
 
 
-class CHBLPolicy(LoadBalancingPolicy):
-    """The paper's scheme, adapted to the shared policy interface."""
+def check_status_interval(interval: Optional[float]) -> None:
+    """Refuse a status interval that is not positive (NaN included).
 
-    name = "ch_bl"
-
-    def __init__(self, load_fn: Callable[[str], float], bound_factor: float = 1.2,
-                 vnodes: int = 64):
-        self._inner = BoundedLoadBalancer(load_fn, bound_factor=bound_factor,
-                                          vnodes=vnodes)
-
-    @property
-    def forwards(self) -> int:
-        return self._inner.forwards
-
-    @property
-    def placements(self) -> int:
-        return self._inner.placements
-
-    def add_worker(self, name: str) -> None:
-        self._inner.add_worker(name)
-
-    def remove_worker(self, name: str) -> None:
-        # Uniform error contract across every policy (the ring's own
-        # message talks about "members", which leaks the implementation).
-        if name not in self._inner.ring.members():
-            raise ValueError(f"worker {name!r} not registered")
-        self._inner.remove_worker(name)
-
-    def pick(self, fqdn: str) -> str:
-        return self._inner.pick(fqdn)
+    ``None`` (live loads) and ``inf`` (one snapshot, never refreshed) are
+    accepted.  :class:`StatusBoard` and the cluster-shard seam's
+    ``sync_indices`` both call it, so serial and sharded runs refuse the
+    same values with the same message.
+    """
+    if interval is not None and not interval > 0:
+        raise ValueError(
+            f"status_interval must be positive (or None for live loads), "
+            f"got {interval!r}"
+        )
 
 
 class StatusBoard:
@@ -171,8 +122,7 @@ class StatusBoard:
         interval: Optional[float] = None,
         publish: Optional[Callable[[str, float, float], None]] = None,
     ):
-        if interval is not None and interval <= 0:
-            raise ValueError("interval must be positive (or None for live)")
+        check_status_interval(interval)
         self._clock = clock
         self._live = live_load_fn
         self.interval = interval
@@ -202,28 +152,3 @@ class StatusBoard:
             if self.publish is not None:
                 self.publish(worker, now, value)
         return value
-
-
-def make_balancer(
-    name: str,
-    load_fn: Callable[[str], float],
-    bound_factor: float = 1.2,
-) -> LoadBalancingPolicy:
-    """Factory by policy name."""
-    table = {
-        "ch_bl": lambda: CHBLPolicy(load_fn, bound_factor=bound_factor),
-        "chbl": lambda: CHBLPolicy(load_fn, bound_factor=bound_factor),
-        "round_robin": RoundRobinBalancer,
-        "least_loaded": lambda: LeastLoadedBalancer(load_fn),
-    }
-    key = str(name).lower()
-    ctor = table.get(key)
-    if ctor is None:
-        if key in ("pull", "pull_local"):
-            raise ValueError(
-                f"{name!r} is a pull dispatch policy, not a push balancer; "
-                f"build it via repro.dispatch.make_dispatch (push balancers: "
-                f"{sorted(table)})"
-            )
-        raise ValueError(f"unknown balancer {name!r}; choose from {sorted(table)}")
-    return ctor()

@@ -40,9 +40,12 @@ from repro.cluster_shard import (
     sync_indices,
 )
 from repro.core.config import WorkerConfig
+from repro.dispatch import dispatch_policy_names, is_pull_policy
 from repro.experiments import SMALL
 from repro.experiments.cluster_study import run_cluster_study
-from repro.loadgen.openloop import InvocationPlan
+from repro.loadbalancer.cluster import Cluster
+from repro.loadgen.openloop import InvocationPlan, replay_plan
+from repro.sim.core import Environment
 from repro.telemetry import TelemetryConfig
 
 TINY = dataclasses.replace(SMALL, dataset_functions=400, dataset_minutes=120,
@@ -233,6 +236,55 @@ def test_seam_never_beats_the_lookahead():
         )
         # With a frozen-clock seam the delivery is exactly the lookahead.
         assert deliver_t == pytest.approx(pick_t + latency, abs=1e-12)
+
+
+# ---------------------------------------------------------- every push policy
+PUSH_NAMES = [n for n in dispatch_policy_names() if not is_pull_policy(n)]
+
+
+@pytest.mark.parametrize("status_interval", [None, 2.0])
+@pytest.mark.parametrize("policy", PUSH_NAMES)
+def test_push_policy_serial_equals_two_shards(policy, status_interval):
+    """Both engines build placement from the same factory: every push
+    policy in the registry gives the same per-arrival outcomes, forwards
+    and placements through ``Cluster`` + ``replay_plan`` as through the
+    2-shard coordinator."""
+    grace = 120.0
+    env = Environment()
+    cluster = Cluster(env, num_workers=3, config=GOLDEN_CONFIG,
+                      lb_policy=policy, status_interval=status_interval)
+    cluster.start()
+    for reg in FUNCTIONS:
+        cluster.register_sync(reg)
+    invocations = replay_plan(env, cluster, golden_plan(), grace=grace)
+    cluster.stop()
+    serial = [
+        (k, bool(i.dropped), i.completed_at is not None, bool(i.cold),
+         i.e2e_time, i.overhead)
+        for k, i in enumerate(invocations)
+    ]
+    try:
+        outcome = run_sharded_replay(
+            golden_plan(), num_workers=3, shards=2, registrations=FUNCTIONS,
+            config=GOLDEN_CONFIG, lb_policy=policy,
+            status_interval=status_interval, grace=grace,
+        )
+    except ShardingUnavailable as exc:  # pragma: no cover - sandbox dependent
+        pytest.skip(f"shard processes unavailable here: {exc}")
+    assert len(serial) == len(ARRIVALS)
+    assert outcome.summaries == serial
+    assert outcome.forwards == cluster.dispatch.forwards
+    assert outcome.placements == cluster.placements == len(ARRIVALS)
+
+
+def test_sync_indices_refuses_bad_status_interval():
+    """The seam applies the status board's own check, so a serial and a
+    sharded run refuse the same intervals; inf stays accepted."""
+    ts = golden_plan().timestamps
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="status_interval"):
+            sync_indices(ts, "ch_bl", bad)
+    assert sync_indices(ts, "ch_bl", float("inf")) == frozenset({0})
 
 
 # ---------------------------------------------------------------- study path

@@ -20,7 +20,6 @@ from repro.dispatch import (
     make_dispatch,
 )
 from repro.loadbalancer.cluster import Cluster
-from repro.loadbalancer.policies import make_balancer
 from repro.sim.core import Environment
 from repro.telemetry import Telemetry, TelemetryConfig
 
@@ -37,6 +36,8 @@ def _policy(name, env):
 # ------------------------------------------------------------ registry
 
 def test_registry_covers_push_and_pull():
+    from repro.cluster_shard.protocol import ShardingUnavailable, sync_indices
+
     names = dispatch_policy_names()
     assert "ch_bl" in names and "pull" in names and "pull_local" in names
     env = Environment()
@@ -44,6 +45,14 @@ def test_registry_covers_push_and_pull():
         policy = _policy(name, env)
         assert policy.kind in ("push", "pull")
         assert is_pull_policy(name) == (policy.kind == "pull")
+        # The shard seam reads the same table: it refuses exactly the
+        # pull names and skips load sync exactly for load-blind pushes.
+        if policy.kind == "pull":
+            with pytest.raises(ShardingUnavailable, match="serial-only"):
+                sync_indices([0.0, 1.0], name, None)
+        else:
+            syncs = sync_indices([0.0, 1.0], name, None)
+            assert (syncs == frozenset()) == (not policy.reads_load)
 
 
 def test_make_dispatch_unknown_name_lists_choices():
@@ -60,20 +69,6 @@ def test_make_dispatch_pull_requires_env():
         make_dispatch("pull")
 
 
-def test_make_balancer_unknown_name_lists_choices():
-    with pytest.raises(ValueError) as err:
-        make_balancer("bogus", _load)
-    message = str(err.value)
-    assert "bogus" in message
-    for name in ("ch_bl", "chbl", "round_robin", "least_loaded"):
-        assert name in message
-
-
-def test_make_balancer_points_pull_names_at_dispatch():
-    with pytest.raises(ValueError, match="make_dispatch"):
-        make_balancer("pull", _load)
-
-
 # ------------------------------------- add/remove across every policy
 
 @pytest.mark.parametrize("name", dispatch_policy_names())
@@ -86,13 +81,13 @@ def test_add_remove_workers_mid_run(name):
 
     if policy.kind == "push":
         # Exercise the policy, then shrink and grow it mid-stream.
-        picks = [policy.balancer.pick(f"fn-{i}.1") for i in range(6)]
+        picks = [policy.pick(f"fn-{i}.1") for i in range(6)]
         assert set(picks) <= {"w-0", "w-1", "w-2"}
         policy.remove_worker("w-1")
-        picks = [policy.balancer.pick(f"fn-{i}.1") for i in range(6)]
+        picks = [policy.pick(f"fn-{i}.1") for i in range(6)]
         assert set(picks) <= {"w-0", "w-2"}
         policy.add_worker("w-3")
-        picks = [policy.balancer.pick(f"fn-{i}.1") for i in range(12)]
+        picks = [policy.pick(f"fn-{i}.1") for i in range(12)]
         assert set(picks) <= {"w-0", "w-2", "w-3"}
     else:
         done = object()

@@ -32,7 +32,8 @@ from repro.cluster_shard import (
 from repro.cluster_shard.coordinator import _recv
 from repro.core.config import WorkerConfig
 from repro.core.function import FunctionRegistration
-from repro.loadbalancer.policies import StatusBoard, make_balancer, snap_to_grid
+from repro.dispatch import make_dispatch
+from repro.loadbalancer.policies import StatusBoard, snap_to_grid
 from repro.loadgen.openloop import InvocationPlan
 
 WORKERS = ["w0", "w1", "w2"]
@@ -94,7 +95,7 @@ def test_sync_indices_matches_statusboard_simulation(plan, interval):
         # a duplicate pair exactly on the refresh boundary syncs once, at
         # the first of the pair
         ([0.0, 2.0, 2.0], "ch_bl", 2.0, frozenset({0, 1})),
-        # policy names are case-insensitive, matching make_balancer
+        # policy names are case-insensitive, matching make_dispatch
         ([0.0, 1.0], "CH_BL", None, frozenset({0, 1})),
         ([0.0, 1.0], "ROUND_ROBIN", 1.0, frozenset()),
         ([0.0, 1.0], "Least_Loaded", None, frozenset({0, 1})),
@@ -140,7 +141,7 @@ def _live_loads_at(dispatches, t):
 def _make_lb(policy, interval, clk, loads):
     board = StatusBoard(clock=lambda: clk["now"],
                         live_load_fn=loads.__getitem__, interval=interval)
-    balancer = make_balancer(policy, board.load)
+    balancer = make_dispatch(policy, load_fn=board.load)
     for w in WORKERS:
         balancer.add_worker(w)
     return balancer

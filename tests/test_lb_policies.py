@@ -3,12 +3,12 @@
 import pytest
 
 from repro import FunctionRegistration, WorkerConfig
+from repro.dispatch import make_dispatch
 from repro.loadbalancer import (
     Cluster,
     LeastLoadedBalancer,
     RoundRobinBalancer,
     StatusBoard,
-    make_balancer,
 )
 from repro.sim import Environment
 
@@ -44,12 +44,15 @@ def test_least_loaded_tracks_load():
     assert ll.pick("f") == "a"
 
 
-def test_make_balancer_factory():
-    assert make_balancer("round_robin", lambda w: 0.0).name == "round_robin"
-    assert make_balancer("least_loaded", lambda w: 0.0).name == "least_loaded"
-    assert make_balancer("CHBL", lambda w: 0.0).name == "ch_bl"
+def test_make_dispatch_factory():
+    assert make_dispatch("round_robin", load_fn=lambda w: 0.0).name == "round_robin"
+    assert make_dispatch("least_loaded", load_fn=lambda w: 0.0).name == "least_loaded"
+    assert make_dispatch("CHBL", load_fn=lambda w: 0.0).name == "ch_bl"
     with pytest.raises(ValueError):
-        make_balancer("random", lambda w: 0.0)
+        make_dispatch("random", load_fn=lambda w: 0.0)
+    # A load-reading policy without a load signal is refused up front.
+    with pytest.raises(ValueError, match="load_fn"):
+        make_dispatch("ch_bl")
 
 
 # ------------------------------------------------------------- status board
@@ -76,8 +79,10 @@ def test_status_board_staleness():
 
 
 def test_status_board_validation():
-    with pytest.raises(ValueError):
-        StatusBoard(clock=lambda: 0.0, live_load_fn=lambda w: 0.0, interval=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="status_interval"):
+            StatusBoard(clock=lambda: 0.0, live_load_fn=lambda w: 0.0,
+                        interval=bad)
 
 
 # ------------------------------------------------------------------ cluster

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import FunctionRegistration, WorkerConfig
-from repro.loadbalancer import BoundedLoadBalancer, Cluster, ConsistentHashRing, hash_point
+from repro.loadbalancer import CHBLPolicy, Cluster, ConsistentHashRing, hash_point
 from repro.sim import Environment
 
 
@@ -75,7 +75,7 @@ def test_ring_vnodes_validation():
 # -------------------------------------------------------------------- CH-BL
 def test_chbl_prefers_home_node():
     loads = {"a": 0.0, "b": 0.0}
-    lb = BoundedLoadBalancer(load_fn=loads.__getitem__, bound_factor=1.2)
+    lb = CHBLPolicy(load_fn=loads.__getitem__, bound_factor=1.2)
     lb.add_worker("a")
     lb.add_worker("b")
     home = lb.pick("fn-x")
@@ -84,7 +84,7 @@ def test_chbl_prefers_home_node():
 
 def test_chbl_forwards_when_overloaded():
     loads = {"a": 0.0, "b": 0.0}
-    lb = BoundedLoadBalancer(load_fn=lambda m: loads[m], bound_factor=1.2)
+    lb = CHBLPolicy(load_fn=lambda m: loads[m], bound_factor=1.2)
     lb.add_worker("a")
     lb.add_worker("b")
     home = lb.pick("fn-x")
@@ -96,7 +96,7 @@ def test_chbl_forwards_when_overloaded():
 
 def test_chbl_falls_back_to_least_loaded():
     loads = {"a": 50.0, "b": 80.0}
-    lb = BoundedLoadBalancer(load_fn=lambda m: loads[m], bound_factor=1.0)
+    lb = CHBLPolicy(load_fn=lambda m: loads[m], bound_factor=1.0)
     lb.add_worker("a")
     lb.add_worker("b")
     # Everyone above the bound: least-loaded wins.
@@ -107,17 +107,18 @@ def test_chbl_falls_back_to_least_loaded():
 
 
 def test_chbl_bound_minimum_one():
-    lb = BoundedLoadBalancer(load_fn=lambda m: 0.0)
+    lb = CHBLPolicy(load_fn=lambda m: 0.0)
     lb.add_worker("a")
     assert lb.bound() >= 1.0
 
 
 def test_chbl_no_workers():
-    lb = BoundedLoadBalancer(load_fn=lambda m: 0.0)
+    lb = CHBLPolicy(load_fn=lambda m: 0.0)
     with pytest.raises(RuntimeError):
         lb.pick("fn")
-    with pytest.raises(ValueError):
-        BoundedLoadBalancer(load_fn=lambda m: 0.0, bound_factor=0.5)
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bound_factor"):
+            CHBLPolicy(load_fn=lambda m: 0.0, bound_factor=bad)
 
 
 # ------------------------------------------------------------------ cluster
@@ -154,7 +155,7 @@ def test_cluster_spillover_under_load():
     env.run(until=120.0)
     used = {w.name for w in cl.workers.values() if w.metrics.records}
     assert len(used) == 2  # burst spilled to the second worker
-    assert cl.balancer.forwards >= 1
+    assert cl.dispatch.forwards >= 1
 
 
 def test_cluster_register_broadcasts():
