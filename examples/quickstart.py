@@ -7,7 +7,9 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Environment, FunctionRegistration, Worker, WorkerConfig
+from repro.core import context_spans
 from repro.experiments import print_table
+from repro.metrics import breakdown_table
 
 
 def main() -> None:
@@ -22,6 +24,9 @@ def main() -> None:
             keepalive_policy="GD",  # Greedy-Dual keep-alive
         ),
     )
+    # Keep every invocation's closed lifecycle context: the breakdown at
+    # the end is read off their component intervals.
+    worker.lifecycle.keep_contexts = True
     worker.start()
 
     hello = FunctionRegistration(
@@ -60,7 +65,8 @@ def main() -> None:
 
     # --- component breakdown (paper Table 2) --------------------------------
     print_table(
-        worker.spans.breakdown_table(scale=1000.0),
+        breakdown_table(context_spans(worker.lifecycle.contexts),
+                        scale=1000.0),
         title="Control-plane latency breakdown (ms, mean per invocation)",
     )
 

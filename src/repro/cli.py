@@ -241,6 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_run(parser, report, run_dir, **kwargs) -> str:
+    """Render a run-directory report; a malformed file in the directory
+    is a usage error naming that file, not a traceback."""
+    try:
+        return report(run_dir, **kwargs).rstrip()
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -364,11 +373,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "inspect":
         from .telemetry import inspect_report
 
-        out.append(inspect_report(args.run_dir).rstrip())
+        out.append(_read_run(parser, inspect_report, args.run_dir))
     elif args.command == "health":
         from .health import health_report
 
-        out.append(health_report(args.run_dir).rstrip())
+        out.append(_read_run(parser, health_report, args.run_dir))
     elif args.command == "watch":
         from .health import watch
 
@@ -378,10 +387,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "trace":
         from .tracing import export_perfetto, trace_report
 
-        out.append(
-            trace_report(args.run_dir, top=args.top,
-                         percentile=args.percentile).rstrip()
-        )
+        out.append(_read_run(parser, trace_report, args.run_dir,
+                             top=args.top, percentile=args.percentile))
         if args.perfetto is not None:
             try:
                 slices = export_perfetto(args.run_dir, args.perfetto)

@@ -15,9 +15,10 @@ indices — instead of one tuple per invocation.
 The sync request for the next epoch's boundary rides inside the current
 epoch's message, so shards simulate (and compute the next loads) while
 the coordinator is still slicing the following epoch and accounting this
-one's spans.  Span accounting itself is batched: ``lb_pick``/``lb_rpc``
-spans are emitted with explicit times after the epoch is sent, replacing
-the per-arrival virtual-clock toggle; the clock is written once per epoch
+one's spans.  Span accounting itself is batched: when telemetry retains
+spans, ``lb_pick``/``lb_rpc`` spans are appended with explicit times after
+the epoch is sent, replacing the per-arrival virtual-clock toggle; the
+clock is written once per epoch
 (per arrival only when a snapshot status board must publish exact
 per-arrival load-read times into the telemetry stream).
 
@@ -43,7 +44,7 @@ from ..core.config import WorkerConfig
 from ..dispatch.registry import make_dispatch
 from ..loadbalancer.cluster import Cluster
 from ..loadbalancer.policies import StatusBoard
-from ..metrics.spans import SpanRecorder
+from ..metrics.spans import Span
 from .protocol import (
     EPOCH_CHUNK,
     ShardSpec,
@@ -360,15 +361,13 @@ def run_sharded_replay(
                            bound_factor=bound_factor)
     for name in worker_names:
         policy.add_worker(name)
-    spans = SpanRecorder(
-        clock=partial(getattr, clk, "now"), enabled=base.tracing_enabled
-    )
+    lb_spans = None
     lb_loads = None
     if telemetry_config is not None:
         from ..telemetry.sampler import Timeseries
 
         if telemetry_config.keep_spans:
-            spans.keep_spans = True
+            lb_spans = []
         lb_loads = Timeseries(("t", "worker", "load"))
         # publish(worker, t, value) -> row (t, worker, value), matching
         # TelemetrySampler.record_lb_load on the single-process path.
@@ -394,8 +393,6 @@ def run_sharded_replay(
     placements = 0
     sent = [0] * num_shards
     pick = policy.pick
-    emit = spans.emit
-    spans_on = spans.enabled
     rpc = float(rpc_latency)
     trace_on = telemetry_config is not None and getattr(
         telemetry_config, "trace", False
@@ -487,13 +484,13 @@ def run_sharded_replay(
             # next loads): overlap the coordinator-side work — slicing
             # the next chunk and accounting this one's spans/traces.
             nxt = _prep(next(descs, None))
-            if spans_on:
+            if lb_spans is not None:
+                append = lb_spans.append
                 names = worker_names
                 for i in range(m):
                     t = tlist[i]
-                    f = fq[i]
-                    emit("lb_pick", t, t, f)
-                    emit("lb_rpc", t, t + rpc, names[picks[i]])
+                    append(Span("lb_pick", t, t, fq[i]))
+                    append(Span("lb_rpc", t, t + rpc, names[picks[i]]))
             if lb_trace is not None:
                 # The seam's pick-side trace events: same times the serial
                 # Cluster.async_invoke stamps (pick at t, rpc [t, t+rpc]),
@@ -600,7 +597,7 @@ def run_sharded_replay(
             config=telemetry_config,
             worker_names=worker_names,
             shard_parts=tele_parts,
-            lb_spans=spans.spans(),
+            lb_spans=lb_spans or [],
             lb_loads=lb_loads,
             lb_traces=None if lb_trace is None else lb_trace.events,
             flight=flight_log,

@@ -10,6 +10,7 @@ from .lifecycle import (
     InvocationLifecycle,
     StageHooks,
     StageTracker,
+    context_spans,
 )
 from .worker import Worker
 
@@ -30,5 +31,6 @@ __all__ = [
     "InvocationLifecycle",
     "StageHooks",
     "StageTracker",
+    "context_spans",
     "Worker",
 ]

@@ -12,35 +12,41 @@ Three pieces make up the seam:
 * :class:`InvocationContext` — one invocation's full control-plane state:
   the invocation (and through it the registration), the completion event,
   the container entry, per-stage enter/exit timestamps, the component
-  intervals telemetry decomposes, and the final outcome or drop reason.
+  intervals (the one record of where its time went), and the final
+  outcome or drop reason.
 * :class:`StageHooks` — a registered callable per stage boundary, no-op
   (and unchecked beyond one attribute load) by default.  This is the
   extension seam future policies plug into: fault injection, per-stage
   admission, backend selection.
 * :class:`InvocationLifecycle` — the worker's stages as named units with
   a uniform enter/exit contract.  Each stage spends its component
-  latencies as DES timeouts with paired spans, exactly as the worker's
-  previous inlined control flow did: the pipeline is behaviour-preserving
-  by construction, pinned bit-for-bit by the determinism suites and the
-  golden A/B fixture under ``tests/data/``.
+  latencies as DES timeouts and stamps each component once, as a
+  ``(name, start, end)`` interval on the context, exactly as the worker's
+  previous inlined control flow timed them: the pipeline is
+  behaviour-preserving by construction, pinned bit-for-bit by the
+  determinism suites and the golden A/B fixture under ``tests/data/``.
 
 :class:`StageTracker` is the substrate the OpenWhisk baseline shares: it
 owns the context store, the hooks, and the enter/exit contract, while the
 baseline keeps its own latency components and queueing semantics.
 
+Spans are a projection of closed contexts (:func:`context_spans`):
+``spans.jsonl``, the Table 2 rows and the phase breakdowns are all read
+off the intervals, never recorded a second time.
+
 Hot-path discipline: component latencies are spent inline (a
 contextmanager or per-component sub-generator costs an allocation per
-component per invocation), stage stamps and hook dispatch cost one
-attribute load when nobody observes, and per-invocation interval
-collection is off unless telemetry attached.
+component per invocation), and stage stamps and hook dispatch cost one
+attribute load when nobody observes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from ..keepalive.policies import HistogramPolicy
 from ..metrics.registry import InvocationRecord, Outcome
+from ..metrics.spans import Span
 from ..sim.core import Event
 from .function import FunctionRegistration, Invocation
 
@@ -60,6 +66,7 @@ __all__ = [
     "StageHooks",
     "StageTracker",
     "InvocationLifecycle",
+    "context_spans",
 ]
 
 # Stage names, in pipeline order.  ``warm`` and ``cold_create`` are the
@@ -99,15 +106,15 @@ class InvocationContext:
     the registration and its accumulating timestamps), the completion
     event, the regulator token and container entry currently held, the
     per-stage ``stage_times`` (stamped when hooks or telemetry observe),
-    the retained component ``intervals`` telemetry decomposes (collected
-    only when a :class:`~repro.telemetry.Telemetry` pipeline attached),
-    and the terminal ``outcome``.
+    the component ``intervals`` — ``(name, start, end)`` tuples in
+    recording order, always collected — and the terminal ``outcome``.
+    ``collect`` marks a context its tracker retains on close (and whose
+    stage boundaries it stamps).
     """
 
     __slots__ = (
         "inv",
         "done",
-        "tag",
         "collect",
         "token",
         "entry",
@@ -123,18 +130,16 @@ class InvocationContext:
         self,
         inv: Invocation,
         done: Event,
-        tag: Optional[str] = None,
         collect: bool = False,
     ):
         self.inv = inv
         self.done = done
-        self.tag = tag
         self.collect = collect
         self.token = None
         self.entry = None
         self.stage: Optional[str] = None
         self.stage_times: Optional[dict] = None
-        self.intervals: Optional[list] = [] if collect else None
+        self.intervals: list = []
         self.warm_available = False
         self.exec_time: Optional[float] = None
         self.outcome: Optional[Outcome] = None
@@ -233,10 +238,8 @@ class StageTracker:
         # drop, and timeout — so claim slots can never leak.
         self.dispatch_seam = None
 
-    def open(
-        self, inv: Invocation, done: Event, tag: Optional[str] = None
-    ) -> InvocationContext:
-        return InvocationContext(inv, done, tag=tag, collect=self.keep_contexts)
+    def open(self, inv: Invocation, done: Event) -> InvocationContext:
+        return InvocationContext(inv, done, collect=self.keep_contexts)
 
     def stage_enter(self, ctx: InvocationContext, stage: str) -> None:
         ctx.stage = stage
@@ -276,7 +279,7 @@ class InvocationLifecycle(StageTracker):
     Owns everything between ``async_invoke`` handing over an
     :class:`~repro.core.function.Invocation` and the completion event
     succeeding: component latencies (means from paper Table 2 with a
-    batched exponential tail), span emission, metrics/characteristics
+    batched exponential tail), component intervals, metrics/characteristics
     recording at stage boundaries, memory admission, container creation,
     and the terminal drop/timeout paths.  The worker keeps only the
     background processes (dispatcher, evictor, samplers) and the public
@@ -292,7 +295,6 @@ class InvocationLifecycle(StageTracker):
         cfg = worker.config
         self.config = cfg
         self.latency = cfg.latency
-        self.spans = worker.spans
         self.metrics = worker.metrics
         self.characteristics = worker.characteristics
         self.pool = worker.pool
@@ -334,13 +336,6 @@ class InvocationLifecycle(StageTracker):
             i = 0
         self._jitter_i = i + 1
         return base + frac * base * buf[i]
-
-    def open(self, inv: Invocation, done: Event) -> InvocationContext:
-        # Tag spans with the invocation id only when spans are retained —
-        # the telemetry decomposition joins on it; the aggregate-only mode
-        # (and the disabled recorder) skips the str() allocation entirely.
-        tag = str(inv.id) if self.spans.keep_spans else None
-        return InvocationContext(inv, done, tag=tag, collect=self.keep_contexts)
 
     # -------------------------------------------------------------- drivers
     def ingest(self, inv: Invocation, done: Event) -> Generator:
@@ -390,51 +385,40 @@ class InvocationLifecycle(StageTracker):
     def admit(self, ctx: InvocationContext) -> Generator:
         """API handling and the bypass decision; True to bypass the queue.
 
-        Component latencies are spent inline with paired span begin/end —
-        a contextmanager (or a ``_spend`` sub-generator) here costs an
-        allocation per component per invocation.
+        Component latencies are spent inline, each stamped once onto
+        ``ctx.intervals`` — a contextmanager (or a ``_spend``
+        sub-generator) here costs an allocation per component per
+        invocation.
         """
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
-        collect = ctx.collect
+        intervals = ctx.intervals
         self.stage_enter(ctx, ADMIT)
 
         offered = inv.offered_at
         if offered is not None:
             # Pull dispatch: the wait between the offer landing on the
             # shared queue and a worker claiming it is control-plane
-            # time — surface it as its own span/interval so the overhead
+            # time — surface it as its own interval so the overhead
             # decomposition can attribute it (a "claim_wait" phase).
             claimed = inv.claimed_at
-            spans.record_span("claim_wait", offered, claimed, tag)
-            if collect:
-                ctx.intervals.append(("claim_wait", offered, claimed))
+            intervals.append(("claim_wait", offered, claimed))
             metrics = self.metrics
             if metrics.latency_histograms_enabled:
                 metrics.observe("claim_wait_seconds", claimed - offered)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("invoke", tag)
+        start = env.now
         cost = self._lat(lat.invoke)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("invoke", start, env.now))
+        intervals.append(("invoke", start, env.now))
 
-        if collect:
-            start = env.now
-        handle = spans.begin("sync_invoke", tag)
+        start = env.now
         cost = self._lat(lat.sync_invoke)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("sync_invoke", start, env.now))
+        intervals.append(("sync_invoke", start, env.now))
 
         fqdn = inv.function.fqdn()
         self.characteristics.record_arrival(fqdn, env.now)
@@ -449,35 +433,25 @@ class InvocationLifecycle(StageTracker):
     def enqueue(self, ctx: InvocationContext) -> Generator:
         """Queue insertion: priority assignment and the admission check."""
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
-        collect = ctx.collect
+        intervals = ctx.intervals
         self.stage_enter(ctx, ENQUEUE)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("enqueue_invocation", tag)
+        start = env.now
         cost = self._lat(lat.enqueue_invocation)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("enqueue_invocation", start, env.now))
+        intervals.append(("enqueue_invocation", start, env.now))
 
         priority = self.queue_policy.priority(inv, ctx.warm_available)
         inv.enqueued_at = env.now
 
-        if collect:
-            start = env.now
-        handle = spans.begin("add_item_to_q", tag)
+        start = env.now
         cost = self._lat(lat.add_item_to_q)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("add_item_to_q", start, env.now))
+        intervals.append(("add_item_to_q", start, env.now))
         # Admission check at the moment of insertion, so concurrent
         # ingests observe the queue they are actually joining.
         max_len = self.config.queue_max_len
@@ -491,52 +465,35 @@ class InvocationLifecycle(StageTracker):
     def dispatch(self, ctx: InvocationContext) -> Generator:
         """The dispatched invocation's handoff to a handler process."""
         env = self.env
-        spans = self.spans
         lat = self.latency
-        tag = ctx.tag
-        collect = ctx.collect
+        intervals = ctx.intervals
         self.stage_enter(ctx, DISPATCH)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("dequeue", tag)
+        start = env.now
         cost = self._lat(lat.dequeue)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("dequeue", start, env.now))
+        intervals.append(("dequeue", start, env.now))
 
-        if collect:
-            start = env.now
-        handle = spans.begin("spawn_worker", tag)
+        start = env.now
         cost = self._lat(lat.spawn_worker)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("spawn_worker", start, env.now))
+        intervals.append(("spawn_worker", start, env.now))
         self.stage_exit(ctx, DISPATCH)
 
     def acquire(self, ctx: InvocationContext) -> Generator:
         """Container acquisition; False when the cold path shed the
         invocation (the only way acquisition fails)."""
         env = self.env
-        spans = self.spans
-        tag = ctx.tag
-        collect = ctx.collect
         fqdn = ctx.inv.function.fqdn()
         self.stage_enter(ctx, ACQUIRE)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("acquire_container", tag)
+        start = env.now
         cost = self._lat(self.latency.acquire_container)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("acquire_container", start, env.now))
+        ctx.intervals.append(("acquire_container", start, env.now))
 
         ctx.entry = self.pool.try_acquire(fqdn)
         self.stage_exit(ctx, ACQUIRE)
@@ -548,19 +505,13 @@ class InvocationLifecycle(StageTracker):
     def warm(self, ctx: InvocationContext) -> Generator:
         """Warm branch: lock the already-running container."""
         env = self.env
-        spans = self.spans
-        collect = ctx.collect
         self.stage_enter(ctx, WARM)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("try_lock_container", ctx.tag)
+        start = env.now
         cost = self._lat(self.latency.try_lock_container)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("try_lock_container", start, env.now))
+        ctx.intervals.append(("try_lock_container", start, env.now))
         ctx.inv.cold = False
         self.stage_exit(ctx, WARM)
 
@@ -569,59 +520,41 @@ class InvocationLifecycle(StageTracker):
         cold-path detour the warm path skips.  False when the invocation
         was shed waiting for memory."""
         env = self.env
-        spans = self.spans
         inv = ctx.inv
-        collect = ctx.collect
         inv.cold = True
         self.stage_enter(ctx, COLD_CREATE)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("cold_create", ctx.tag)
+        start = env.now
         took = yield from self.take_memory(inv.function.memory_mb)
-        if not took:
-            spans.end(handle)
-            if collect:
-                ctx.intervals.append(("cold_create", start, env.now))
-            self.stage_exit(ctx, COLD_CREATE)
-            self.drop(ctx, "insufficient memory")
-            return False
-        ctx.entry = yield from self.create_container(inv.function)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("cold_create", start, env.now))
+        if took:
+            ctx.entry = yield from self.create_container(inv.function)
+        ctx.intervals.append(("cold_create", start, env.now))
         self.stage_exit(ctx, COLD_CREATE)
-        return True
+        if not took:
+            self.drop(ctx, "insufficient memory")
+        return took
 
     def execute(self, ctx: InvocationContext) -> Generator:
         """Agent communication around the execution window; True when the
         invocation exceeded its execution limit (timeout stage taken)."""
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
-        collect = ctx.collect
+        intervals = ctx.intervals
         self.stage_enter(ctx, EXECUTE)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("prepare_invoke", tag)
+        start = env.now
         cost = self._lat(lat.prepare_invoke)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("prepare_invoke", start, env.now))
+        intervals.append(("prepare_invoke", start, env.now))
 
         conn_cost = self.http_clients.connection_cost(ctx.entry.container.id)
         if conn_cost > 0:
             yield env.timeout(conn_cost)
-            spans.record("http_client_create", conn_cost, tag)
-            if collect:
-                ctx.intervals.append(
-                    ("http_client_create", env.now - conn_cost, env.now)
-                )
+            intervals.append(
+                ("http_client_create", env.now - conn_cost, env.now)
+            )
 
         exec_time = (
             self.cold_exec_time(inv.function)
@@ -646,26 +579,18 @@ class InvocationLifecycle(StageTracker):
         else:
             yield invoke_proc
         inv.exec_finished_at = inv.exec_started_at + exec_time
-        # The execution window itself, retained (not aggregated) so the
-        # telemetry decomposition can subtract function time exactly.
-        spans.record_span("exec", call_start, call_start + exec_time, tag)
-        if collect:
-            ctx.intervals.append(("exec", call_start, call_start + exec_time))
-        # call_container span is the HTTP overhead around execution.
+        # The execution window itself, which the telemetry decomposition
+        # subtracts (and Table 2 skips) to isolate control-plane time.
+        intervals.append(("exec", call_start, call_start + exec_time))
+        # call_container is the HTTP overhead around execution.
         comm = max(env.now - call_start - exec_time, 0.0)
-        spans.record("call_container", comm, tag)
-        if collect:
-            ctx.intervals.append(("call_container", env.now - comm, env.now))
+        intervals.append(("call_container", env.now - comm, env.now))
 
-        if collect:
-            start = env.now
-        handle = spans.begin("download_result", tag)
+        start = env.now
         cost = self._lat(lat.download_result)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("download_result", start, env.now))
+        intervals.append(("download_result", start, env.now))
         self.stage_exit(ctx, EXECUTE)
         return False
 
@@ -673,35 +598,25 @@ class InvocationLifecycle(StageTracker):
         """Terminal stage: return the container to the pool and the
         results to the caller, record the invocation."""
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
-        collect = ctx.collect
+        intervals = ctx.intervals
         self.stage_enter(ctx, COMPLETE)
 
-        if collect:
-            start = env.now
-        handle = spans.begin("return_container", tag)
+        start = env.now
         cost = self._lat(lat.return_container)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("return_container", start, env.now))
+        intervals.append(("return_container", start, env.now))
 
         self.pool.return_entry(ctx.entry)
         ctx.entry = None
 
-        if collect:
-            start = env.now
-        handle = spans.begin("return_results", tag)
+        start = env.now
         cost = self._lat(lat.return_results)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
-        if collect:
-            ctx.intervals.append(("return_results", start, env.now))
+        intervals.append(("return_results", start, env.now))
 
         inv.completed_at = env.now
         fqdn = inv.function.fqdn()
@@ -860,3 +775,12 @@ class InvocationLifecycle(StageTracker):
             snapshots.capture(registration, self.env.now)
 
         self.env.process(capture(), name=f"capture-{registration.fqdn()}")
+
+
+def context_spans(contexts: Iterable[InvocationContext]) -> Iterator[Span]:
+    """Project closed contexts onto spans: one :class:`Span` per interval,
+    tagged with the invocation id, in context then recording order."""
+    for ctx in contexts:
+        tag = str(ctx.inv.id)
+        for name, start, end in ctx.intervals:
+            yield Span(name, start, end, tag)

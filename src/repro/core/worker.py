@@ -36,7 +36,6 @@ from ..errors import DuplicateRegistration, FunctionNotRegistered
 from ..keepalive.policies import make_policy
 from ..metrics.energy import EnergyMonitor
 from ..metrics.registry import MetricsRegistry
-from ..metrics.spans import SpanRecorder
 from ..queueing.bypass import NoBypass, ShortFunctionBypass
 from ..queueing.policies import make_queue_policy
 from ..queueing.regulator import AIMDConfig, ConcurrencyRegulator, LoadTracker
@@ -73,12 +72,10 @@ class Worker:
 
         self.characteristics = CharacteristicsMap()
         # partial(getattr, env, "now") is a C-level clock callable — no
-        # Python frame per sample, and these clocks fire many times per
-        # invocation (spans tick twice per component).  One callable is
-        # shared by every clocked subsystem.
+        # Python frame per sample.  One callable is shared by every
+        # clocked subsystem.
         clock = partial(getattr, env, "now")
         self.metrics = MetricsRegistry(clock=clock)
-        self.spans = SpanRecorder(clock=clock, enabled=cfg.tracing_enabled)
         # Simulated RAPL: integrates a linear power model over busy cores
         # (Section 5.1's self-contained system monitoring).
         self.energy = EnergyMonitor(clock=clock)

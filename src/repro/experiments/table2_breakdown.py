@@ -1,7 +1,8 @@
 """Table 2: per-component latency of a single warm invocation.
 
 Runs warm invocations on an Ilúvatar worker with the containerd backend
-and reports the mean simulated time spent in every traced component,
+and reports the mean simulated time spent in every component (the spans
+projected from the invocations' lifecycle contexts),
 grouped as in the paper (Ingestion & Queuing / Container Operations /
 Agent Communication / Returning).  Agent communication dominates, by
 design and by measurement.
@@ -10,7 +11,9 @@ design and by measurement.
 from __future__ import annotations
 
 from ..core.config import WorkerConfig
+from ..core.lifecycle import context_spans
 from ..core.worker import Worker
+from ..metrics.spans import breakdown_table
 from ..sim.core import Environment
 from ..workloads.functionbench import registration_for
 
@@ -44,14 +47,17 @@ def run_table2(warm_invocations: int = 200, seed: int = 42) -> list[dict]:
     )
     worker.start()
     worker.register_sync(registration_for("pyaes"))
-    # One cold invocation to create the container, excluded from spans.
+    # One cold invocation to create the container; contexts are retained
+    # only from the warm invocations on.
     env.run_process(worker.invoke("pyaes.1"))
-    worker.spans.reset()
+    worker.lifecycle.keep_contexts = True
     for _ in range(warm_invocations):
         inv = env.run_process(worker.invoke("pyaes.1"))
         assert not inv.cold, "breakdown must be warm-only"
     worker.stop()
-    rows = worker.spans.breakdown_table(scale=1000.0)
+    rows = breakdown_table(
+        context_spans(worker.lifecycle.contexts), scale=1000.0
+    )
     for row in rows:
         row["paper_ms"] = PAPER_TABLE2_MS.get(row["function"], float("nan"))
     return rows

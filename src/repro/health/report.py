@@ -9,9 +9,10 @@ Both degrade gracefully on runs exported without health enabled.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
+
+from ..metrics.jsonl import read_json, read_jsonl
 
 __all__ = ["load_health", "health_report", "health_section"]
 
@@ -25,13 +26,9 @@ def load_health(run_dir: Union[str, Path]) -> tuple[Optional[dict], list[dict]]:
     health_path = run_dir / HEALTH_FILE
     if not health_path.exists():
         return None, []
-    health = json.loads(health_path.read_text())
-    rows: list[dict] = []
+    health = read_json(health_path)
     slo_path = run_dir / SLO_FILE
-    if slo_path.exists():
-        for line in slo_path.read_text().splitlines():
-            if line.strip():
-                rows.append(json.loads(line))
+    rows: list[dict] = list(read_jsonl(slo_path)) if slo_path.exists() else []
     return health, rows
 
 

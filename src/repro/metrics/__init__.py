@@ -1,6 +1,7 @@
 """Metrics substrate: spans, counters, quantile sketches, summaries, simulated energy."""
 
 from .energy import EnergyModel, EnergyMonitor
+from .jsonl import read_json, read_jsonl
 from .registry import (
     LATENCY_HISTOGRAMS,
     InvocationRecord,
@@ -9,7 +10,7 @@ from .registry import (
     merge_registries,
 )
 from .sketch import DDSketch
-from .spans import SPAN_GROUPS, Span, SpanRecorder, dump_spans_jsonl, load_spans_jsonl
+from .spans import SPAN_GROUPS, Span, breakdown_table, dump_spans_jsonl, load_spans_jsonl
 from .stats import LatencySummary, OnlineStats, bin_timeseries, percentile, summarize
 
 __all__ = [
@@ -23,9 +24,11 @@ __all__ = [
     "merge_registries",
     "SPAN_GROUPS",
     "Span",
-    "SpanRecorder",
+    "breakdown_table",
     "dump_spans_jsonl",
     "load_spans_jsonl",
+    "read_json",
+    "read_jsonl",
     "LatencySummary",
     "OnlineStats",
     "bin_timeseries",

@@ -1,38 +1,29 @@
-"""Span-based component tracing, modelled on Ilúvatar's use of the Rust
-``tracing`` crate (Section 5.1).
+"""Component spans, modelled on Ilúvatar's use of the Rust ``tracing``
+crate (Section 5.1).
 
-Every worker component wraps its work in a named span; spans record the
-simulated (or wall-clock) duration and are grouped by name.  Table 2 of the
-paper — the per-component latency breakdown of a single warm invocation —
-is regenerated directly from these spans.
-
-Two recording APIs exist:
-
-* ``with recorder.span("name"):`` — the ergonomic context manager, for
-  call sites off the hot path.
-* ``handle = recorder.begin("name")`` / ``recorder.end(handle)`` — the
-  fast-path pair.  Handles are pooled and reused, so steady-state
-  recording allocates nothing; when the recorder is disabled ``begin``
-  returns ``None`` and ``end(None)`` returns immediately, making a
-  disabled recorder a true no-op (the Ilúvatar design point: tracing must
-  cost nothing when it is off).
+A span is one named interval of a worker component (``invoke``,
+``acquire_container``, ``call_container``, ...) or of the load balancer
+(``lb_pick``, ``lb_rpc``).  The worker does not record spans itself: each
+invocation's lifecycle context keeps its component intervals, and spans
+are a projection of those closed contexts (plus the balancer's own
+``lb_*`` list).  Table 2 of the paper — the per-component latency
+breakdown of a single warm invocation — is :func:`breakdown_table` over
+such a projection.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
-from .stats import LatencySummary, summarize
+from .jsonl import read_jsonl
 
 __all__ = [
     "Span",
-    "SpanRecorder",
     "SPAN_GROUPS",
+    "breakdown_table",
     "load_spans_jsonl",
     "dump_spans_jsonl",
 ]
@@ -54,6 +45,11 @@ SPAN_GROUPS: dict[str, str] = {
     "return_container": "Returning",
     "return_results": "Returning",
 }
+
+# Windows that are context, not control-plane components: the function's
+# execution and the pull-queue wait.  The decomposition uses them; Table 2
+# leaves them out.
+_NOT_COMPONENTS = frozenset(("exec", "claim_wait"))
 
 
 @dataclass
@@ -77,202 +73,34 @@ class Span:
         return self.end - self.start
 
 
-class _SpanHandle:
-    """An open span returned by :meth:`SpanRecorder.begin`.
+def breakdown_table(spans: Iterable[Span], scale: float = 1.0) -> list[dict]:
+    """Rows in the shape of paper Table 2: group, name, mean time.
 
-    Mutable and pooled: after :meth:`SpanRecorder.end` the handle goes back
-    to the recorder's free list for reuse, so ``name`` is nulled to catch
-    double-``end``.
+    Canonical components come first in :data:`SPAN_GROUPS` order, then
+    any other component under "Other", alphabetically; the ``exec`` and
+    ``claim_wait`` windows are skipped.  ``scale`` converts the clock unit
+    into the reporting unit (e.g. 1000.0 for seconds → milliseconds).
     """
-
-    __slots__ = ("name", "start", "tag")
-
-    def __init__(self, name: str, start: float, tag: Optional[str]):
-        self.name = name
-        self.start = start
-        self.tag = tag
-
-
-@dataclass
-class SpanRecorder:
-    """Collects spans; ``clock`` supplies the current time.
-
-    The recorder is deliberately tolerant of high volume: per-span storage
-    is an append to a per-name list, and all reduction is deferred.
-    """
-
-    clock: Callable[[], float]
-    enabled: bool = True
-    _durations: dict[str, list[float]] = field(default_factory=lambda: defaultdict(list))
-    _spans: list[Span] = field(default_factory=list)
-    keep_spans: bool = False
-    _handle_pool: list[_SpanHandle] = field(default_factory=list, repr=False)
-
-    # -- recording ---------------------------------------------------------
-    def begin(self, name: str, tag: Optional[str] = None) -> Optional[_SpanHandle]:
-        """Open a span; returns a handle to pass to :meth:`end`.
-
-        Returns ``None`` when the recorder is disabled — the caller passes
-        it straight back to ``end``, which makes the disabled pair two
-        attribute loads and two calls, with zero allocation.
-        """
-        if not self.enabled:
-            return None
-        pool = self._handle_pool
-        if pool:
-            handle = pool.pop()
-            handle.name = name
-            handle.start = self.clock()
-            handle.tag = tag
-            return handle
-        return _SpanHandle(name, self.clock(), tag)
-
-    def end(self, handle: Optional[_SpanHandle]) -> None:
-        """Close a span opened by :meth:`begin` and record its duration."""
-        if handle is None:
-            return
-        name = handle.name
-        if name is None:
-            raise ValueError("span handle already ended (double end())")
-        now = self.clock()
-        self._durations[name].append(now - handle.start)
-        if self.keep_spans:
-            self._spans.append(
-                Span(name=name, start=handle.start, end=now, tag=handle.tag)
-            )
-        handle.name = None  # poison against double-end
-        pool = self._handle_pool
-        if len(pool) < 64:
-            pool.append(handle)
-
-    @contextmanager
-    def span(self, name: str, tag: Optional[str] = None) -> Iterator[None]:
-        """Context manager timing a component by the recorder's clock.
-
-        Implemented on the begin/end pair; prefer begin/end directly on
-        hot paths (a contextmanager costs a generator per use).
-        """
-        handle = self.begin(name, tag)
-        try:
-            yield
-        finally:
-            self.end(handle)
-
-    def emit(
-        self, name: str, start: float, end: float, tag: Optional[str] = None
-    ) -> None:
-        """Record a completed span with explicit times.
-
-        The batch-emission path for callers that already know both
-        endpoints (the cluster-shard coordinator accounts a whole epoch of
-        ``lb_pick``/``lb_rpc`` spans after the fact instead of toggling a
-        virtual clock per arrival).  Equivalent to ``begin``/``end`` under
-        a clock that returned ``start`` then ``end`` — the duration is the
-        same ``end - start`` float operation — without touching the clock
-        or allocating a handle.
-        """
-        if not self.enabled:
-            return
-        self._durations[name].append(end - start)
-        if self.keep_spans:
-            self._spans.append(Span(name=name, start=start, end=end, tag=tag))
-
-    def record(self, name: str, duration: float, tag: Optional[str] = None) -> None:
-        """Record an externally measured duration under ``name``."""
-        if not self.enabled:
-            return
-        if duration < 0:
-            raise ValueError(f"negative span duration: {duration}")
-        self._durations[name].append(duration)
-        if self.keep_spans:
-            now = self.clock()
-            self._spans.append(Span(name=name, start=now - duration, end=now, tag=tag))
-
-    def record_span(
-        self, name: str, start: float, end: float, tag: Optional[str] = None
-    ) -> None:
-        """Append a raw interval to the retained span log *without* touching
-        the aggregate durations.
-
-        Used for intervals that are context, not control-plane components —
-        e.g. the function-execution window the telemetry decomposition
-        subtracts — so aggregate reports (Table 2) stay component-only.
-        No-op unless both ``enabled`` and ``keep_spans`` are set.
-        """
-        if not (self.enabled and self.keep_spans):
-            return
-        if end < start:
-            raise ValueError(f"span {name!r} ends before it starts")
-        self._spans.append(Span(name=name, start=start, end=end, tag=tag))
-
-    # -- reporting ---------------------------------------------------------
-    def names(self) -> list[str]:
-        return sorted(self._durations)
-
-    def durations(self, name: str) -> list[float]:
-        return list(self._durations.get(name, []))
-
-    def summary(self, name: str) -> LatencySummary:
-        return summarize(self._durations.get(name, []))
-
-    def mean(self, name: str) -> float:
-        values = self._durations.get(name)
-        if not values:
-            return float("nan")
-        return sum(values) / len(values)
-
-    def spans(self) -> list[Span]:
-        return list(self._spans)
-
-    def breakdown_table(self, scale: float = 1.0) -> list[dict]:
-        """Rows in the shape of paper Table 2: group, name, mean time.
-
-        ``scale`` converts the clock unit into the reporting unit (e.g.
-        1000.0 for seconds → milliseconds).
-        """
-        rows = []
-        for name in SPAN_GROUPS:
-            if name in self._durations:
-                rows.append(
-                    {
-                        "group": SPAN_GROUPS[name],
-                        "function": name,
-                        "time": self.mean(name) * scale,
-                    }
-                )
-        # Components outside the canonical table come last, alphabetically.
-        for name in sorted(set(self._durations) - set(SPAN_GROUPS)):
-            rows.append(
-                {
-                    "group": "Other",
-                    "function": name,
-                    "time": self.mean(name) * scale,
-                }
-            )
-        return rows
-
-    def reset(self) -> None:
-        self._durations.clear()
-        self._spans.clear()
-
-    def dump_jsonl(self, path: Union[str, Path]) -> int:
-        """Write retained spans as JSON lines (one span per line), the
-        fine-grained logging the paper's ``tracing`` instrumentation
-        provides for offline analysis.  Requires ``keep_spans``.
-        Returns the number of spans written."""
-        if not self.keep_spans:
-            raise ValueError(
-                "dump_jsonl requires keep_spans=True; this recorder only "
-                "aggregated durations, so there are no spans to write"
-            )
-        return dump_spans_jsonl(self._spans, path)
+    durations: dict[str, list[float]] = {}
+    for s in spans:
+        if s.name not in _NOT_COMPONENTS:
+            durations.setdefault(s.name, []).append(s.end - s.start)
+    names = [n for n in SPAN_GROUPS if n in durations]
+    names += sorted(set(durations) - set(SPAN_GROUPS))
+    return [
+        {
+            "group": SPAN_GROUPS.get(name, "Other"),
+            "function": name,
+            "time": sum(durations[name]) / len(durations[name]) * scale,
+        }
+        for name in names
+    ]
 
 
 def dump_spans_jsonl(spans: Iterable[Span], path: Union[str, Path]) -> int:
-    """Write spans as JSON lines (the :meth:`SpanRecorder.dump_jsonl`
-    format); also used to dump spans merged from several recorders.
-    ``spans`` may be any iterable — a lazy stream is written through
-    without being materialized.  Returns the number of spans written."""
+    """Write spans as JSON lines, one span per line.  ``spans`` may be any
+    iterable — a lazy stream is written through without being
+    materialized.  Returns the number of spans written."""
     dumps = json.dumps
     count = 0
     with open(path, "w") as fh:
@@ -288,15 +116,9 @@ def dump_spans_jsonl(spans: Iterable[Span], path: Union[str, Path]) -> int:
 
 
 def load_spans_jsonl(path: Union[str, Path]) -> list[Span]:
-    """Read spans written by :meth:`SpanRecorder.dump_jsonl`."""
-    spans: list[Span] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            spans.append(Span(name=data["name"], start=data["start"],
-                              end=data["end"], tag=data.get("tag"),
-                              shard=data.get("shard")))
-    return spans
+    """Read spans written by :func:`dump_spans_jsonl`."""
+    return [
+        Span(name=data["name"], start=data["start"], end=data["end"],
+             tag=data.get("tag"), shard=data.get("shard"))
+        for data in read_jsonl(path)
+    ]

@@ -1,14 +1,14 @@
 """Overhead decomposition (the paper's Table 2, per run).
 
-The primary source is the invocation-lifecycle pipeline itself: when
-telemetry is attached, each completed
+The source is the invocation-lifecycle pipeline itself: each closed
 :class:`~repro.core.lifecycle.InvocationContext` carries the component
 intervals of its critical path, and :func:`decompose_contexts` reads the
-phase boundaries directly off those contexts.  :func:`decompose` derives
-the same breakdowns by reconstructing invocations from tagged spans — the
-independent cross-check ``repro inspect`` runs against exported span
-streams.  Both paths feed the identical per-invocation arithmetic, so
-their outputs are bit-for-bit interchangeable.
+phase boundaries directly off the contexts a run retained.
+:func:`decompose` derives the same breakdowns from tagged spans — the
+projection of those contexts that ``spans.jsonl`` holds, which is how
+``repro inspect`` reads a run directory back.  Both paths feed the
+identical per-invocation arithmetic (:func:`_breakdown`), so their
+outputs are bit-for-bit interchangeable.
 
 The control-plane overhead (everything that is not function code) splits
 into phases:
@@ -111,8 +111,9 @@ def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreak
     """One invocation's breakdown from ``(name, start, end)`` intervals.
 
     The single arithmetic both decomposition paths share: intervals must
-    arrive in recording order (they do — the lifecycle appends them as the
-    span recorder retains them), and the queue-wait gap is added after the
+    arrive in recording order (they do — one invocation's components are
+    stamped in time order, so the ``(start, end, name)``-sorted span
+    projection preserves it), and the queue-wait gap is added after the
     loop, so span-derived and context-derived sums accumulate in the same
     float order and agree bit-for-bit.  ``None`` when the invocation has
     no execution window (dropped / timed out / not an invocation).
@@ -183,21 +184,19 @@ def decompose(spans: Iterable[Span]) -> list[InvocationBreakdown]:
 def decompose_contexts(contexts: Iterable) -> list[InvocationBreakdown]:
     """Phase breakdowns read directly off lifecycle contexts.
 
-    ``contexts`` are completed
-    :class:`~repro.core.lifecycle.InvocationContext` objects whose
-    ``intervals`` were collected (telemetry attached); each context *is*
-    one invocation, so no tag-join is needed.  Contexts without an
-    execution window (dropped / timed out) or without collected intervals
-    are skipped.  Results are ordered by invocation id, and values are
-    bit-identical to :func:`decompose` over the same run's spans.
+    ``contexts`` are closed
+    :class:`~repro.core.lifecycle.InvocationContext` objects; each context
+    *is* one invocation, so no tag-join is needed.  Contexts without an
+    execution window (dropped / timed out) or without intervals are
+    skipped.  Results are ordered by invocation id, and values are
+    bit-identical to :func:`decompose` over the same contexts' spans.
     """
     out: list[InvocationBreakdown] = []
     for ctx in contexts:
         intervals = ctx.intervals
         if not intervals:
             continue
-        tag = ctx.tag if ctx.tag is not None else str(ctx.inv.id)
-        b = _breakdown(tag, intervals)
+        b = _breakdown(str(ctx.inv.id), intervals)
         if b is not None:
             out.append(b)
     out.sort(key=_SORT_KEY)

@@ -9,7 +9,8 @@ produce a self-contained run directory:
 ``timeseries.jsonl``  sampled gauge rows, one JSON object per line,
                       ``series`` keying the worker (plus ``lb`` for the
                       status-board load signal)
-``spans.jsonl``       merged retained spans (workers + load balancer)
+``spans.jsonl``       spans projected from closed lifecycle contexts,
+                      plus the load balancer's ``lb_*`` spans
 ``records.jsonl``     per-invocation records
 ``metrics.prom``      Prometheus text-format snapshot of the merged
                       registries
@@ -31,6 +32,8 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
+from ..core.lifecycle import context_spans
+from ..metrics.jsonl import read_json, read_jsonl
 from ..metrics.registry import (
     InvocationRecord,
     MetricsRegistry,
@@ -257,10 +260,10 @@ def build_manifest(
 
 
 class Telemetry:
-    """One run's telemetry: sampler + span retention + latency histograms.
+    """One run's telemetry: sampler + context retention + latency histograms.
 
-    Attach targets before ``start()``; attaching flips the retained-span
-    and histogram switches on the target's existing recorder/registry, so
+    Attach targets before ``start()``; attaching flips the context-retention
+    and histogram switches on the target's existing lifecycle/registry, so
     the instrumentation already woven through the worker starts keeping
     data — no new callbacks enter the invocation path.
     """
@@ -274,7 +277,9 @@ class Telemetry:
             sample_energy=self.config.sample_energy,
         )
         self._workers: list = []
-        self._extra_recorders: list = []  # LB span recorders, merged on export
+        # LB pick/rpc spans; handed to every attached cluster when spans
+        # are retained.
+        self._lb_spans: list[Span] = []
         self.tracer = None
         if self.config.trace:
             # Deferred: the tracing package only loads when a run opts in.
@@ -294,10 +299,8 @@ class Telemetry:
     def attach_worker(self, worker) -> None:
         self.sampler.attach_worker(worker)
         if self.config.keep_spans:
-            worker.spans.keep_spans = True
-            # Retain completed lifecycle contexts: the decomposition reads
-            # phase boundaries directly off them (spans stay the
-            # independent cross-check `repro inspect` recomputes from).
+            # Retain closed lifecycle contexts: spans and breakdowns are
+            # both projections of their intervals.
             lifecycle = getattr(worker, "lifecycle", None)
             if lifecycle is not None:
                 lifecycle.keep_contexts = True
@@ -313,8 +316,7 @@ class Telemetry:
         for worker in cluster.workers.values():
             self.attach_worker(worker)
         if self.config.keep_spans:
-            cluster.spans.keep_spans = True
-            self._extra_recorders.append(cluster.spans)
+            cluster.lb_spans = self._lb_spans
         if self.tracer is not None:
             # The cluster reports its pick/rpc spans into the collector;
             # worker stage chains hang under whichever LB span is last.
@@ -393,13 +395,24 @@ class Telemetry:
     def series(self) -> dict[str, Timeseries]:
         return self.sampler.series
 
-    def spans(self) -> list[Span]:
-        """All retained spans across workers and the LB, in start order."""
-        out: list[Span] = []
+    def _contexts(self) -> list:
+        """Closed contexts retained by the attached workers, worker by
+        worker in close order."""
+        out: list = []
         for w in self._workers:
-            out.extend(w.spans.spans())
-        for rec in self._extra_recorders:
-            out.extend(rec.spans())
+            lifecycle = getattr(w, "lifecycle", None)
+            if lifecycle is not None:
+                out.extend(lifecycle.contexts)
+        return out
+
+    def spans(self) -> list[Span]:
+        """Retained contexts projected onto spans, worker by worker, then
+        the LB's spans, stably sorted on ``(start, end, name)``; empty
+        unless ``config.keep_spans``."""
+        if not self.config.keep_spans:
+            return []
+        out = list(context_spans(self._contexts()))
+        out.extend(self._lb_spans)
         out.sort(key=lambda s: (s.start, s.end, s.name))
         return out
 
@@ -411,24 +424,10 @@ class Telemetry:
         return out
 
     def breakdowns(self):
-        """Per-invocation phase breakdowns, read off lifecycle contexts.
-
-        Falls back to span-tag reconstruction when any attached worker has
-        no lifecycle context store (or retention was never enabled), so
-        the result is the same either way — bit-identical, in fact, which
-        :meth:`breakdowns_from_spans` lets callers assert.
-        """
-        contexts: list = []
-        for w in self._workers:
-            lifecycle = getattr(w, "lifecycle", None)
-            if lifecycle is None or not lifecycle.keep_contexts:
-                return self.breakdowns_from_spans()
-            contexts.extend(lifecycle.contexts)
-        return decompose_contexts(contexts)
-
-    def breakdowns_from_spans(self):
-        """The span-tag reconstruction of :meth:`breakdowns` (cross-check)."""
-        return decompose(self.spans())
+        """Per-invocation phase breakdowns, read off retained lifecycle
+        contexts; bit-identical to ``decompose(self.spans())`` whenever
+        spans are retained."""
+        return decompose_contexts(self._contexts())
 
     def trace_events(self) -> list:
         """Collected causal trace events in ``(trace_id, seq)`` order;
@@ -493,7 +492,8 @@ def load_run(run_dir: Union[str, Path]) -> dict:
     Returns ``{"summary", "records", "spans", "timeseries", "metrics_text",
     "manifest", "flight", "traces", "health", "slo"}`` with missing files
     mapped to empty values, so partially exported directories still
-    inspect cleanly.
+    inspect cleanly.  A malformed file raises ``ValueError`` naming it
+    (and the line, for JSON-lines files).
     """
     run_dir = Path(run_dir)
     out: dict = {
@@ -508,36 +508,20 @@ def load_run(run_dir: Union[str, Path]) -> dict:
         "health": {},
         "slo": [],
     }
-    health_path = run_dir / RUN_FILES["health"]
-    if health_path.exists():
-        out["health"] = json.loads(health_path.read_text())
-    slo_path = run_dir / RUN_FILES["slo"]
-    if slo_path.exists():
-        with open(slo_path) as fh:
-            out["slo"] = [json.loads(line) for line in fh if line.strip()]
-    summary_path = run_dir / RUN_FILES["summary"]
-    if summary_path.exists():
-        out["summary"] = json.loads(summary_path.read_text())
-    records_path = run_dir / RUN_FILES["records"]
-    if records_path.exists():
-        with open(records_path) as fh:
-            out["records"] = [json.loads(line) for line in fh if line.strip()]
+    for key in ("health", "summary", "manifest", "flight"):
+        path = run_dir / RUN_FILES[key]
+        if path.exists():
+            out[key] = read_json(path)
+    for key in ("slo", "records", "timeseries"):
+        path = run_dir / RUN_FILES[key]
+        if path.exists():
+            out[key] = list(read_jsonl(path))
     spans_path = run_dir / RUN_FILES["spans"]
     if spans_path.exists():
         out["spans"] = load_spans_jsonl(spans_path)
-    ts_path = run_dir / RUN_FILES["timeseries"]
-    if ts_path.exists():
-        with open(ts_path) as fh:
-            out["timeseries"] = [json.loads(line) for line in fh if line.strip()]
     prom_path = run_dir / RUN_FILES["metrics"]
     if prom_path.exists():
         out["metrics_text"] = prom_path.read_text()
-    manifest_path = run_dir / RUN_FILES["manifest"]
-    if manifest_path.exists():
-        out["manifest"] = json.loads(manifest_path.read_text())
-    flight_path = run_dir / RUN_FILES["flight"]
-    if flight_path.exists():
-        out["flight"] = json.loads(flight_path.read_text())
     traces_path = run_dir / RUN_FILES["traces"]
     if traces_path.exists():
         from ..tracing.events import load_trace_jsonl

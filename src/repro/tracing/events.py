@@ -40,6 +40,7 @@ from ..core.lifecycle import (
     EXECUTE,
     WARM,
 )
+from ..metrics.jsonl import read_jsonl
 
 __all__ = [
     "TraceEvent",
@@ -126,21 +127,16 @@ def dump_trace_jsonl(events: Iterable[TraceEvent],
 def load_trace_jsonl(path: Union[str, Path]) -> list[TraceEvent]:
     """Read events written by :func:`dump_trace_jsonl`."""
     events: list[TraceEvent] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            events.append(TraceEvent(
-                trace_id=data["trace_id"],
-                seq=data["seq"],
-                name=data["name"],
-                kind=data["kind"],
-                start=data["start"],
-                end=data["end"],
-                parent=data.get("parent"),
-                worker=data.get("worker"),
-                shard=data.get("shard"),
-            ))
+    for data in read_jsonl(path):
+        events.append(TraceEvent(
+            trace_id=data["trace_id"],
+            seq=data["seq"],
+            name=data["name"],
+            kind=data["kind"],
+            start=data["start"],
+            end=data["end"],
+            parent=data.get("parent"),
+            worker=data.get("worker"),
+            shard=data.get("shard"),
+        ))
     return events

@@ -9,10 +9,10 @@ drill-down into the e2e distribution.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
+from ..metrics.jsonl import read_jsonl
 from .critical_path import (
     aggregate_rows,
     build_traces,
@@ -30,15 +30,10 @@ def _record_labels(run_dir: Path) -> dict[int, str]:
     records_path = run_dir / "records.jsonl"
     if not records_path.exists():
         return labels
-    with open(records_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            r = json.loads(line)
-            rid = r.get("invocation_id")
-            if rid is not None:
-                labels[rid] = f"{r.get('function')} ({r.get('outcome')})"
+    for r in read_jsonl(records_path):
+        rid = r.get("invocation_id")
+        if rid is not None:
+            labels[rid] = f"{r.get('function')} ({r.get('outcome')})"
     return labels
 
 

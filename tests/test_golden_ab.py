@@ -9,7 +9,7 @@ record, every retained span, and every telemetry phase sum **bit for
 bit** — floats compared exactly, after the same JSON round-trip.
 
 If this test fails, the refactor changed behaviour: component order, RNG
-draw order, a float accumulation order, or span begin/end sequencing.
+draw order, a float accumulation order, or component interval stamping.
 Fix the regression; do not regenerate the fixture unless the change is an
 intentional, reviewed behaviour change (regenerate with
 ``PYTHONPATH=src:tests python tests/golden_scenario.py``).

@@ -137,15 +137,21 @@ def test_bypass_disabled_config():
 
 
 def test_spans_recorded_for_warm_path():
+    from repro.core import context_spans
+
     env, worker = make_worker()
     worker.register_sync(reg(warm=0.2))  # above bypass threshold
     env.run_process(worker.invoke("hello.1"))
-    worker.spans.reset()
-    env.run_process(worker.invoke("hello.1"))
-    names = set(worker.spans.names())
+    worker.lifecycle.keep_contexts = True
+    inv = env.run_process(worker.invoke("hello.1"))
+    assert not inv.cold
+    spans = list(context_spans(worker.lifecycle.contexts))
+    assert {s.tag for s in spans} == {str(inv.id)}
+    names = {s.name for s in spans}
     for expected in ("invoke", "enqueue_invocation", "dequeue",
                      "acquire_container", "prepare_invoke", "return_results"):
         assert expected in names
+    assert "cold_create" not in names
 
 
 def test_status_snapshot_fields():
