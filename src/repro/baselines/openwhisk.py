@@ -135,7 +135,7 @@ class OpenWhiskWorker:
             raise RuntimeError("worker already started")
         self._started = True
         self.env.process(self.gc.collector(), name=f"{self.name}-gc")
-        self.env.process(self.pool.evictor(), name=f"{self.name}-ttl-reaper")
+        self.env.every(self.pool.eviction_interval, self.pool.sweep)  # TTL reaper
 
     def stop(self) -> None:
         self.gc.stop()

@@ -4,11 +4,13 @@ The shard's event pattern is a *mirror* of the single-process replay
 restricted to its workers: one injector process walks the seam's epoch
 messages in time order, yielding exactly the timeouts the single-process
 open-loop injector would have yielded at this shard's relevant arrivals,
-and starting the same ``lb-forward`` processes in the same
-event-processing slots.  Because workers share nothing and the DES kernel
-breaks ties by ``(time, priority, seq)``, preserving the *relative*
-scheduling order of the shard's own events is sufficient for bit-identical
-records — the determinism argument is spelled out in ``docs/SHARDING.md``.
+and scheduling each RPC hop through the same
+:func:`~repro.loadbalancer.cluster.forward` callback the serial cluster
+uses, in the same event-processing slots.  Because workers share nothing
+and the DES kernel breaks ties by ``(time, priority, seq)``, preserving
+the *relative* scheduling order of the shard's own events is sufficient
+for bit-identical records — the determinism argument is spelled out in
+``docs/SHARDING.md``.
 
 Epoch messages arrive columnar (parallel arrays of arrival index,
 timestamp, fqdn code, local worker index — schema in ``protocol.py``);
@@ -31,24 +33,19 @@ k-way merge shard streams without re-sorting), closed by one light
 from __future__ import annotations
 
 import traceback
+from functools import partial
 from typing import Generator
 
 from ..core.worker import Worker
+from ..loadbalancer.cluster import forward
 from ..sim.core import Environment
 from .protocol import RESULT_CHUNK, ShardSpec
 
 __all__ = ["shard_main"]
 
 
-def _forward(env, latency, worker, fqdn, invocation_id, done, seam, k):
-    """The LB→worker RPC hop, mirroring ``Cluster.async_invoke``'s
-    forward process (the pick-side spans live in the coordinator)."""
-    yield env.timeout(latency)
-    if seam is not None:
-        seam.append((k, env.now))
-    inner = worker.async_invoke(fqdn, invocation_id=invocation_id)
-    inv = yield inner
-    done.succeed(inv)
+def _seam_hop(seam: list, k: int, now: float) -> None:
+    seam.append((k, now))
 
 
 def _stream_parts(conn, kind: str, items: list) -> None:
@@ -100,8 +97,6 @@ def _run_shard(conn, spec: ShardSpec) -> None:
 
     def injector() -> Generator:
         timeout = env.timeout
-        process = env.process
-        event = env.event
         append = pending.append
         while True:
             msg = conn.recv()                # env frozen while we wait
@@ -118,14 +113,11 @@ def _run_shard(conn, spec: ShardSpec) -> None:
                 delay = t - env.now
                 if delay > 0:
                     yield timeout(delay)
-                fqdn = vocab[code]
-                done = event()
-                process(
-                    _forward(env, latency, by_local[loc], fqdn,
-                             k + 1, done, seam, k),
-                    name=f"lb-forward-{fqdn}",
-                )
-                append((k, done))
+                # The same hop Cluster.async_invoke schedules (the
+                # pick-side spans live in the coordinator).
+                on_hop = None if seam is None else partial(_seam_hop, seam, k)
+                append((k, forward(env, latency, by_local[loc], vocab[code],
+                                   invocation_id=k + 1, on_hop=on_hop)))
             if sync is not None:
                 sync_k, sync_t = sync
                 delay = sync_t - env.now

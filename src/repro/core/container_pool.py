@@ -107,7 +107,7 @@ class ContainerPool:
         self._seq = 0
         self.evictions = 0
         self.expirations = 0
-        self._running = False
+        self._running = True
 
     # -- introspection -----------------------------------------------------
     def available_count(self, fqdn: Optional[str] = None) -> int:
@@ -266,8 +266,13 @@ class ContainerPool:
             freed += victim.memory_mb
         return freed
 
-    def sweep(self) -> None:
-        """One background-eviction pass: expire, then restore free buffer."""
+    def sweep(self) -> bool:
+        """One background-eviction pass: expire, then restore free buffer.
+
+        Runs every ``eviction_interval`` via :meth:`Environment.every`;
+        returns False once :meth:`stop` was called, which ends the
+        schedule after this last pass.
+        """
         now = self.env.now
         expired = [
             e
@@ -280,13 +285,7 @@ class ContainerPool:
         deficit = self.free_buffer_mb - self.memory.level
         if deficit > 0:
             self.evict_for(deficit)
-
-    def evictor(self) -> Generator:
-        """Background DES process: periodic off-critical-path eviction."""
-        self._running = True
-        while self._running:
-            yield self.env.timeout(self.eviction_interval)
-            self.sweep()
+        return self._running
 
     def stop(self) -> None:
         self._running = False

@@ -282,7 +282,7 @@ class InvocationLifecycle(StageTracker):
     batched exponential tail), component intervals, metrics/characteristics
     recording at stage boundaries, memory admission, container creation,
     and the terminal drop/timeout paths.  The worker keeps only the
-    background processes (dispatcher, evictor, samplers) and the public
+    background processes (dispatcher, pollers) and the public
     API.
     """
 

@@ -126,12 +126,14 @@ class Worker:
 
     # ------------------------------------------------------------------ life
     def start(self) -> None:
-        """Launch the worker's background processes."""
+        """Launch the worker's background processes and pollers."""
         if self._started:
             raise RuntimeError("worker already started")
         self._started = True
-        self.env.process(self.pool.evictor(), name=f"{self.name}-evictor")
-        self.env.process(self.load.sampler(self.env), name=f"{self.name}-loadavg")
+        # Fixed-period pollers: every worker started at the same time
+        # shares one calendar entry per tick.
+        self.env.every(self.pool.eviction_interval, self.pool.sweep)
+        self.env.every(self.load.interval, self.load.sample)
         self.env.process(self._dispatcher(), name=f"{self.name}-dispatcher")
         if self.config.namespace_pool_enabled:
             self.env.process(self.namespaces.refiller(), name=f"{self.name}-netns")

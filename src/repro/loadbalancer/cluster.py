@@ -14,7 +14,7 @@ whose per-worker claim loops drain a shared logical queue.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.config import WorkerConfig
 from ..core.function import FunctionRegistration
@@ -25,7 +25,38 @@ from ..metrics.spans import Span
 from ..sim.core import Environment, Event
 from .policies import StatusBoard
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "forward"]
+
+
+def forward(env: Environment, latency: float, worker: Worker, fqdn: str,
+            args=None, *, invocation_id: Optional[int] = None,
+            on_hop: Optional[Callable[[float], None]] = None,
+            on_done: Optional[Callable[[object], None]] = None) -> Event:
+    """The LB→worker RPC hop as one scheduled callback, not a process.
+
+    After ``latency`` the invocation reaches ``worker``; the returned
+    event succeeds with the completed invocation.  ``on_hop(now)`` runs
+    when the hop lands, before the worker sees the invocation, and
+    ``on_done(inv)`` just before the returned event is triggered.  The
+    serial cluster and the shard injector both forward through here, so
+    their hops create the same events in the same order.
+    """
+    done = env.event()
+
+    def finish(event: Event) -> None:
+        if on_done is not None:
+            on_done(event.value)
+        done.trigger(event)
+
+    def arrive(_event: Event) -> None:
+        if on_hop is not None:
+            on_hop(env.now)
+        worker.async_invoke(
+            fqdn, args, invocation_id=invocation_id
+        ).callbacks.append(finish)
+
+    env.timeout(latency).callbacks.append(arrive)
+    return done
 
 
 class Cluster:
@@ -159,22 +190,20 @@ class Cluster:
                 )
             return inner
         # Model the LB->worker RPC hop without blocking the caller.
-        done = self.env.event()
-
-        def forward():
-            yield self.env.timeout(self.rpc_latency)
-            rpc_end = self.env.now
-            if lb_spans is not None:
+        on_hop = on_done = None
+        if lb_spans is not None:
+            def on_hop(rpc_end):
                 lb_spans.append(Span("lb_rpc", pick_t, rpc_end, target))
-            inner = worker.async_invoke(fqdn, args)
-            inv = yield inner
-            if tracer is not None:
+        if tracer is not None:
+            # The hop lands at exactly this float: the kernel schedules a
+            # timeout at now + delay.
+            rpc_end = pick_t + self.rpc_latency
+
+            def on_done(inv):
                 tracer.record_lb(inv.id, pick_t, pick_t,
                                  pick_t, rpc_end, target)
-            done.succeed(inv)
-
-        self.env.process(forward(), name=f"lb-forward-{fqdn}")
-        return done
+        return forward(self.env, self.rpc_latency, worker, fqdn, args,
+                       on_hop=on_hop, on_done=on_done)
 
     def invoke(self, fqdn: str, args=None):
         done = self.async_invoke(fqdn, args)

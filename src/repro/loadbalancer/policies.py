@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..dispatch.push import PushDispatch
 from .chbl import CHBLPolicy
@@ -130,22 +130,53 @@ class StatusBoard:
         self._snapshot: dict[str, float] = {}
         self._snapped_at: Optional[float] = None
         self.refreshes = 0
+        # mean_load's cache: the member sequence it was computed over in
+        # the current epoch (None = nothing cached), and the value.
+        self._mean_of: Optional[Sequence[str]] = None
+        self._mean = 0.0
 
     @property
     def snapped_at(self) -> Optional[float]:
         """Grid epoch of the current snapshot (None before the first)."""
         return self._snapped_at
 
+    def _roll(self, now: float) -> None:
+        # A fresh round of status reports arrived; the epoch is the grid
+        # slot the reports belong to, not the query time.
+        self._snapshot = {}
+        self._snapped_at = snap_to_grid(now, self.interval)
+        self.refreshes += 1
+        self._mean_of = None
+
+    def mean_load(self, members: Sequence[str]) -> float:
+        """Mean load over ``members`` (non-empty), as :meth:`load` reads it.
+
+        A snapshot board's loads are fixed within an epoch, so the mean is
+        too: the first call in an epoch reads every member through
+        :meth:`load` in the given order (``publish`` sees exactly those
+        reads) and later calls with the same ``members`` object return the
+        cached value.  Pass an immutable sequence — a new object (such as
+        the hash ring's member tuple after a membership change) is a cache
+        miss.  A live board (``interval=None``) sums live loads on every
+        call.
+        """
+        if self.interval is None:
+            self._mean_of = None
+        else:
+            now = self._clock()
+            if self._snapped_at is None or now - self._snapped_at >= self.interval:
+                self._roll(now)
+        if members is not self._mean_of:
+            self._mean = sum(map(self.load, members)) / len(members)
+            self._mean_of = members
+        return self._mean
+
     def load(self, worker: str) -> float:
         if self.interval is None:
             return self._live(worker)
         now = self._clock()
         if self._snapped_at is None or now - self._snapped_at >= self.interval:
-            # A fresh round of status reports arrived; the epoch is the
-            # grid slot the reports belong to, not the query time.
-            self._snapshot = {}
-            self._snapped_at = snap_to_grid(now, self.interval)
-            self.refreshes += 1
+            self._roll(now)
         value = self._snapshot.get(worker)
         if value is None:
             value = self._snapshot[worker] = self._live(worker)

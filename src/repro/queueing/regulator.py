@@ -74,12 +74,6 @@ class LoadTracker:
         cores = self.cores
         return float(running) if running < cores else cores
 
-    def sampler(self, env: Environment) -> Generator:
-        """Background DES process: keep the load average fresh."""
-        while True:
-            yield env.timeout(self.interval)
-            self.sample()
-
 
 @dataclass(frozen=True)
 class AIMDConfig:

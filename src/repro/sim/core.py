@@ -380,6 +380,28 @@ class AnyOf(_Condition):
         self.succeed(self._results())
 
 
+class _Ticker:
+    """One periodic calendar entry shared by :meth:`Environment.every`
+    callbacks that have the same start time and interval."""
+
+    __slots__ = ("env", "interval", "callbacks")
+
+    def __init__(self, env: "Environment", interval: float):
+        self.env = env
+        self.interval = interval
+        self.callbacks: list[Callable[[], Any]] = []
+
+    def schedule(self, _event: Optional[Event] = None) -> None:
+        self.env.timeout(self.interval).callbacks.append(self.tick)
+
+    def tick(self, _event: Event) -> None:
+        # Call everything first, then reschedule: a process loop also
+        # created its next timeout after the call's own events.
+        self.callbacks = [fn for fn in self.callbacks if fn() is not False]
+        if self.callbacks:
+            self.schedule()
+
+
 class Environment:
     """The simulation environment: a clock plus an event calendar.
 
@@ -400,6 +422,10 @@ class Environment:
         # Free lists of processed, unreferenced events (see module docstring).
         self._timeout_pool: list[Timeout] = []
         self._init_pool: list[Initialize] = []
+        # Periodic callbacks registered at ``_tickers_at``, by interval
+        # (see :meth:`every`); older groups reschedule themselves.
+        self._tickers: dict[float, "_Ticker"] = {}
+        self._tickers_at = self.now
 
     # -- clock -----------------------------------------------------------
     @property
@@ -453,6 +479,37 @@ class Environment:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
+
+    def every(self, interval: float, fn: Callable[[], Any]) -> None:
+        """Call ``fn()`` at ``now + interval``, then every ``interval``.
+
+        The same schedule as a process started now that loops ``yield
+        timeout(interval); fn()``: tick times accumulate as ``now +
+        interval``, and the first timeout is created where that process's
+        first step would have run.  Unlike such processes, callbacks
+        registered at the same ``now`` with the same ``interval`` share one
+        calendar entry per tick and run in registration order.  A callback
+        that returns ``False`` (exactly; other falsy values do not count) is
+        dropped after that call, so a poller that stops still makes the
+        one last call the loop's ``while running`` check would have made.
+        """
+        if not interval > 0:
+            raise ValueError(f"every() needs a positive interval, got {interval!r}")
+        if self._tickers_at != self.now:
+            self._tickers = {}
+            self._tickers_at = self.now
+        ticker = self._tickers.get(interval)
+        if ticker is None:
+            ticker = self._tickers[interval] = _Ticker(self, interval)
+            # The first timeout is created by an immediate start event, in
+            # the slot where a poller process's first step would run, so
+            # the first tick keeps that process's place among same-time
+            # events.
+            start = Event(self)
+            start._state = TRIGGERED
+            start.callbacks.append(ticker.schedule)
+            self._schedule(start, priority=0)
+        ticker.callbacks.append(fn)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -22,8 +22,9 @@ dropped.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -101,6 +102,45 @@ def write_azure_csvs(dataset: AzureDataset, directory: Union[str, Path]) -> Path
     return directory
 
 
+def _rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """``(line, fields)`` for the header, then each non-blank data row.
+
+    A data row whose field count differs from the header's (a truncated
+    or damaged line) raises ``ValueError`` naming the file and the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        yield reader.line_num, header
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(header)} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
+
+
+def _columns(path: Path, header: list[str], *names: str) -> list[int]:
+    missing = [n for n in names if n not in header]
+    if missing:
+        raise ValueError(f"{path}: header has no {missing} column")
+    return [header.index(n) for n in names]
+
+
+@contextmanager
+def _at(path: Path, line: int) -> Iterator[None]:
+    """Name the file and line in a cell that fails to convert."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
 def load_azure_csvs(
     directory: Union[str, Path],
     default_memory_mb: float = 170.0,
@@ -111,44 +151,50 @@ def load_azure_csvs(
     ``default_memory_mb`` covers apps missing from the memory file (the
     real dataset's memory table only samples a subset; 170 MB is near its
     median).  Functions with fewer than ``min_invocations`` are dropped,
-    per the paper.
+    per the paper.  A short row or a non-numeric cell in any of the three
+    files raises ``ValueError`` naming the file and the line.
     """
     directory = Path(directory)
 
     # --- durations -----------------------------------------------------
     avg_ms: dict[str, float] = {}
     max_ms: dict[str, float] = {}
-    with open(directory / DURATIONS_CSV, newline="") as fh:
-        for row in csv.DictReader(fh):
-            name = row["HashFunction"]
-            avg_ms[name] = float(row["Average"])
-            max_ms[name] = float(row["Maximum"])
+    path = directory / DURATIONS_CSV
+    rows = _rows(path)
+    name_at, avg_at, max_at = _columns(
+        path, next(rows)[1], "HashFunction", "Average", "Maximum"
+    )
+    for line, row in rows:
+        with _at(path, line):
+            avg_ms[row[name_at]] = float(row[avg_at])
+            max_ms[row[name_at]] = float(row[max_at])
 
     # --- app memory ------------------------------------------------------
     app_total_mb: dict[str, float] = {}
-    with open(directory / MEMORY_CSV, newline="") as fh:
-        for row in csv.DictReader(fh):
-            app_total_mb[row["HashApp"]] = float(row["AverageAllocatedMb"])
+    path = directory / MEMORY_CSV
+    rows = _rows(path)
+    app_at, mb_at = _columns(path, next(rows)[1], "HashApp", "AverageAllocatedMb")
+    for line, row in rows:
+        with _at(path, line):
+            app_total_mb[row[app_at]] = float(row[mb_at])
 
     # --- invocations -----------------------------------------------------
     names: list[str] = []
     apps: list[str] = []
     raw_counts: list[tuple[np.ndarray, np.ndarray]] = []
-    n_minutes = 0
-    with open(directory / INVOCATIONS_CSV, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        minute_cols = header[4:]
-        n_minutes = len(minute_cols)
-        for row in reader:
+    path = directory / INVOCATIONS_CSV
+    rows = _rows(path)
+    n_minutes = len(next(rows)[1]) - 4
+    for line, row in rows:
+        with _at(path, line):
             counts = np.array([int(float(v or 0)) for v in row[4:]],
                               dtype=np.int64)
-            if counts.sum() < min_invocations:
-                continue
-            names.append(row[2])
-            apps.append(row[1])
-            nz = np.nonzero(counts)[0]
-            raw_counts.append((nz, counts[nz]))
+        if counts.sum() < min_invocations:
+            continue
+        names.append(row[2])
+        apps.append(row[1])
+        nz = np.nonzero(counts)[0]
+        raw_counts.append((nz, counts[nz]))
 
     if not names:
         raise ValueError(f"no reusable functions found in {directory}")

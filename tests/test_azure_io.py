@@ -128,3 +128,36 @@ def test_written_invocations_schema(dataset, tmp_path):
     assert header[:4] == ["HashOwner", "HashApp", "HashFunction", "Trigger"]
     assert header[4] == "1"
     assert len(header) == 4 + dataset.config.duration_minutes
+
+
+@pytest.mark.parametrize("damage", ["short-row", "non-numeric-cell"])
+@pytest.mark.parametrize("filename", [INVOCATIONS_CSV, DURATIONS_CSV, MEMORY_CSV])
+def test_damaged_csv_names_file_and_line(tmp_path, filename, damage):
+    (tmp_path / INVOCATIONS_CSV).write_text(
+        "HashOwner,HashApp,HashFunction,Trigger,1,2,3\n"
+        "o,app1,f1,http,2,1,0\n"
+        "o,app1,f2,http,1,1,3\n"
+    )
+    (tmp_path / DURATIONS_CSV).write_text(
+        "HashOwner,HashApp,HashFunction,Average,Count,Minimum,Maximum\n"
+        "o,app1,f1,500,3,400,1500\n"
+        "o,app1,f2,100,5,100,900\n"
+    )
+    (tmp_path / MEMORY_CSV).write_text(
+        "HashOwner,HashApp,SampleCount,AverageAllocatedMb\n"
+        "o,app0,1,128\n"
+        "o,app1,2,400\n"
+    )
+    load_azure_csvs(tmp_path)  # intact files load
+    path = tmp_path / filename
+    lines = path.read_text().splitlines()
+    if damage == "short-row":
+        # A file cut off part-way through its last row.
+        lines[-1] = lines[-1].rsplit(",", 2)[0]
+    else:
+        fields = lines[-1].split(",")
+        fields[-1] = "n/a"
+        lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{filename}: line 3: "):
+        load_azure_csvs(tmp_path)

@@ -103,7 +103,7 @@ def test_background_evictor_process():
     env, _b, memory, pool = make_pool(policy=TTLPolicy(ttl=5.0))
     entry = cold_start(env, memory, pool)
     pool.return_entry(entry)
-    env.process(pool.evictor())
+    env.every(pool.eviction_interval, pool.sweep)
     env.run(until=10.0)
     pool.stop()
     assert pool.available_count() == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.keepalive.cache import KeepAliveCache
 from repro.keepalive.policies import make_policy
 from repro.keepalive.simulator import simulate
-from repro.loadbalancer.chbl import ConsistentHashRing
+from repro.loadbalancer.chbl import CHBLPolicy, ConsistentHashRing
 from repro.metrics.stats import OnlineStats, bin_timeseries
 from repro.sim import Environment, Gauge
 from repro.trace.model import Trace, TraceFunction
@@ -113,6 +113,49 @@ def test_ring_removal_only_moves_victims_keys(members):
     for k in keys:
         if before[k] != victim:
             assert ring.successors(k)[0] == before[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.booleans(), st.sampled_from("abcdefgh")),
+        min_size=1, max_size=30,
+    ),
+)
+def test_ring_cache_matches_fresh_ring(ops):
+    """After any add/remove sequence, the cached walk CH-BL picks from
+    equals a freshly built ring's; mutating returned lists changes nothing."""
+    loads = {m: 0.0 for m in "abcdefgh"}
+    lb = CHBLPolicy(load_fn=loads.__getitem__, bound_factor=1.2)
+    ring = lb.ring
+    keys = [f"fn-{i}" for i in range(12)]
+    present = set()
+    for add, member in ops:
+        if add and member not in present:
+            lb.add_worker(member)
+            present.add(member)
+        elif not add and member in present:
+            lb.remove_worker(member)
+            present.discard(member)
+        for k in keys[:3]:      # fill the cache between membership changes
+            ring.order(k)
+    fresh = ConsistentHashRing(vnodes=ring.vnodes)
+    for m in sorted(present):
+        fresh.add(m)
+    assert ring.members() == fresh.members()
+    for k in keys:
+        assert list(ring.order(k)) == fresh.successors(k)
+        if present:
+            # Idle cluster: every pick is the home worker.
+            assert lb.pick(k) == fresh.successors(k)[0]
+    if present:
+        ring.members().append("zz")
+        ring.members().clear()
+        for k in keys:
+            ring.successors(k).reverse()
+            ring.successors(k).clear()
+            assert lb.pick(k) == fresh.successors(k)[0]
+        assert ring.members() == sorted(present)
 
 
 # ------------------------------------------------------------------- gauge

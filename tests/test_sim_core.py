@@ -442,3 +442,37 @@ def test_interrupt_twice_is_idempotent_on_callbacks():
     env.process(driver())
     env.run(until=50.0)
     assert causes == ["a", "b"]
+
+
+def test_every_shares_ticks_in_registration_order():
+    env = Environment()
+    calls = []
+
+    def poller(label, stop_at=None):
+        def fn():
+            calls.append((label, env.now))
+            # Only ``False`` drops the callback; 0.0 does not.
+            return False if env.now == stop_at else 0.0
+        return fn
+
+    env.every(0.1, poller("a"))
+    env.every(0.1, poller("b", stop_at=0.1 + 0.1))
+    env.every(0.3, poller("c"))
+
+    def late():
+        yield env.timeout(0.05)
+        env.every(0.1, poller("d"))    # a later start: its own grid
+
+    env.process(late())
+    env.run(until=0.35)
+    grid = [0.1, 0.1 + 0.1, 0.1 + 0.1 + 0.1]   # accumulated, not k * 0.1
+    d_grid = [0.05 + 0.1, 0.05 + 0.1 + 0.1, 0.05 + 0.1 + 0.1 + 0.1]
+    assert [t for label, t in calls if label == "a"] == grid
+    assert [t for label, t in calls if label == "b"] == grid[:2]
+    assert [t for label, t in calls if label == "c"] == [0.3]
+    assert [t for label, t in calls if label == "d"] == d_grid
+    # Callbacks of one group run back to back, in registration order.
+    at_first_tick = [label for label, t in calls if t == grid[0]]
+    assert at_first_tick == ["a", "b"]
+    with pytest.raises(ValueError):
+        env.every(0.0, poller("e"))
